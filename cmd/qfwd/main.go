@@ -42,7 +42,7 @@ func main() {
 		walltime    = flag.Duration("walltime", 2*time.Hour, "SLURM walltime (paper cutoff: 2h)")
 		seed        = flag.Int64("seed", 1, "base RNG seed")
 		cacheCap    = flag.Int("serve-cache", 4096, "serving-layer result cache entries per backend (negative disables caching)")
-		window      = flag.Duration("serve-window", 2*time.Millisecond, "serving-layer coalescing admission window (0 disables the wait)")
+		window      = flag.Duration("serve-window", 2*time.Millisecond, "longest a mergeable submission may ride behind a same-spec unit of its tenant that is still executing, absorbing arrivals into one batch; submissions with no such sibling never wait (0 disables the hold)")
 		quota       = flag.Int("serve-quota", 0, "default per-tenant outstanding-element quota (0: the queue cap)")
 		drainGrace  = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline: stop admitting on SIGTERM and finish in-flight work up to this long")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics and Chrome-trace /trace on this address (empty disables)")

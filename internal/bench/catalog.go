@@ -161,7 +161,7 @@ var AblationCatalog = []AblationSpec{
 	{
 		Name:     "serving-layer",
 		Ks:       []int{1, 8, 32},
-		Describe: "Repeated-submission hot set (analytic QAOA queries + seeded GHZ sampling) through the multi-tenant serving layer at K concurrent clients: content-addressed cache and admission-window coalescing toggled, plus a bounded-queue load-shed probe",
+		Describe: "Repeated-submission hot set (analytic QAOA queries + seeded GHZ sampling) through the multi-tenant serving layer at K concurrent clients: content-addressed cache and sibling-clocked coalescing toggled, plus a bounded-queue load-shed probe",
 	},
 	{
 		Name:     "fault-injection",

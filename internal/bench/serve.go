@@ -28,7 +28,7 @@ type serveRequest struct {
 // (cacheable across seeds and coalescible into one batch) interleaved with
 // seeded GHZ sampling runs (exact-hit cacheable, never coalesced — the seed
 // schedule is load-bearing). Together they exercise both cache classes and
-// the admission window.
+// the admission rule.
 func (h *Harness) serveHotSet() ([]serveRequest, error) {
 	n := 10
 	if h.Quick {
@@ -229,8 +229,13 @@ func (h *Harness) RunServeAblation() (*Experiment, error) {
 	minC := spec.Ks[0]
 	var notes string
 	if off := tput["no cache"][maxC]; off > 0 {
-		notes += fmt.Sprintf("cache+coalesce vs no-cache throughput at %d clients: %.1fx. ",
-			maxC, tput["cache+coalesce"][maxC]/off)
+		notes += fmt.Sprintf("result cache vs no-cache throughput at %d clients: %.1fx with coalescing, %.1fx without (each closed-loop client is its own tenant and merging is per tenant, so this traffic never merges). ",
+			maxC, tput["cache+coalesce"][maxC]/off, tput["cache only"][maxC]/off)
+	}
+	for _, clients := range spec.Ks {
+		if off := tput["no cache"][clients]; off > 0 {
+			notes += fmt.Sprintf("coalesce-only vs no-cache throughput at %d clients: %.2fx. ", clients, tput["coalesce only"][clients]/off)
+		}
 	}
 	if base := p99["cache+coalesce"][minC]; base > 0 {
 		notes += fmt.Sprintf("cached-mix p99 at %d clients is %.2fx the %d-client p99. ",

@@ -95,9 +95,20 @@ func (h *countingHandler) count(method string) int {
 	return h.calls[method]
 }
 
+func (h *countingHandler) total() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := 0
+	for _, c := range h.calls {
+		n += c
+	}
+	return n
+}
+
 func TestBatchSingleRPCSingleParse(t *testing.T) {
-	// The batch acceptance criterion: K bindings over one ansatz issue
-	// exactly one submit_batch RPC and parse the QASM exactly once.
+	// The batch acceptance criterion: K bindings over one ansatz cost
+	// exactly one RPC — the blocking exec_batch — and parse the QASM exactly
+	// once.
 	exec := newParamExec("px")
 	qpm := NewQPM(exec, 4, nil)
 	defer qpm.Close()
@@ -131,11 +142,11 @@ func TestBatchSingleRPCSingleParse(t *testing.T) {
 			t.Fatalf("element %d seed %v, want %d", i, res.Extra["seed"], 100+i)
 		}
 	}
-	if got := counter.count("submit_batch"); got != 1 {
-		t.Fatalf("submit_batch RPCs = %d, want 1", got)
+	if got := counter.count("exec_batch"); got != 1 {
+		t.Fatalf("exec_batch RPCs = %d, want 1", got)
 	}
-	if got := counter.count("submit"); got != 0 {
-		t.Fatalf("submit RPCs = %d, want 0", got)
+	if got := counter.total(); got != 1 {
+		t.Fatalf("RunBatch issued %d RPCs, want 1", got)
 	}
 	if got := exec.cache.Parses(); got != 1 {
 		t.Fatalf("QASM parses = %d, want 1", got)

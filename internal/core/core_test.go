@@ -179,12 +179,30 @@ func TestQPMOverRPC(t *testing.T) {
 	if caps.Backend != "rpc" {
 		t.Fatalf("caps %+v", caps)
 	}
+	// A synchronous Run is one exec round trip and the QPM reaps its task.
 	list, err := f.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(list) != 1 {
-		t.Fatalf("list %v", list)
+	if len(list) != 0 {
+		t.Fatalf("Frontend.Run left tasks behind: %v", list)
+	}
+	// An asynchronous handle owns its task until Delete.
+	p, err := f.RunAsync(c, RunOptions{Shots: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = p.Result(); err != nil || res.Counts["00"] != 5 {
+		t.Fatalf("async result %+v, %v", res, err)
+	}
+	if list, err = f.List(); err != nil || len(list) != 1 || list[p.TaskID] != StatusDone {
+		t.Fatalf("list after RunAsync %v, %v; want the one finished task", list, err)
+	}
+	if err := f.Delete(p.TaskID); err != nil {
+		t.Fatal(err)
+	}
+	if list, err = f.List(); err != nil || len(list) != 0 {
+		t.Fatalf("list after Delete %v, %v", list, err)
 	}
 }
 

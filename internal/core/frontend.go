@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -44,27 +43,50 @@ func NewFrontend(client *defw.Client, props Properties) (*Frontend, error) {
 // Properties returns the frontend's backend selection.
 func (f *Frontend) Properties() Properties { return f.props }
 
-func (f *Frontend) prepare(c *circuit.Circuit, opts RunOptions) ([]byte, error) {
-	spec, err := SpecFromCircuit(c)
-	if err != nil {
-		return nil, err
-	}
+// call is the one path every Frontend RPC takes: marshal req, one DEFw call
+// to the selected backend's QPM service, unmarshal the reply into resp.
+func (f *Frontend) call(method string, req, resp any) error {
+	return defw.CallJSON(f.client, ServiceName(f.props.Backend), method, req, resp)
+}
+
+func (f *Frontend) withSubbackend(opts RunOptions) RunOptions {
 	if opts.Subbackend == "" {
 		opts.Subbackend = f.props.Subbackend
 	}
-	return json.Marshal(submitReq{Spec: spec, Opts: opts})
+	return opts
 }
 
-// Run executes a circuit synchronously and returns the unified result.
+func (f *Frontend) singleReq(c *circuit.Circuit, opts RunOptions) (submitReq, error) {
+	spec, err := SpecFromCircuit(c)
+	return submitReq{Spec: spec, Opts: f.withSubbackend(opts)}, err
+}
+
+func (f *Frontend) batchReq(c *circuit.Circuit, bindings []Bindings, opts RunOptions) (batchSubmitReq, error) {
+	if len(bindings) == 0 {
+		return batchSubmitReq{}, fmt.Errorf("core: empty batch")
+	}
+	spec, err := SpecFromParametric(c)
+	return batchSubmitReq{Spec: spec, Bindings: bindings, Opts: f.withSubbackend(opts)}, err
+}
+
+// Run executes a circuit synchronously in one "exec" round trip and returns
+// the unified result. The QPM reaps the task before replying, so a
+// synchronous caller leaves nothing behind in the daemon's task table.
 func (f *Frontend) Run(c *circuit.Circuit, opts RunOptions) (*Result, error) {
-	pending, err := f.RunAsync(c, opts)
+	req, err := f.singleReq(c, opts)
 	if err != nil {
 		return nil, err
 	}
-	return pending.Result()
+	var res Result
+	if err := f.call("exec", req, &res); err != nil {
+		return nil, err
+	}
+	return &res, nil
 }
 
-// Pending is an in-flight asynchronous execution.
+// Pending is an in-flight asynchronous execution. The handle owns its task:
+// it stays in the QPM's table (Result may be read again) until
+// Frontend.Delete(TaskID) removes it.
 type Pending struct {
 	front  *Frontend
 	TaskID string
@@ -72,55 +94,39 @@ type Pending struct {
 
 // Result blocks until the task finishes and returns the unified result.
 func (p *Pending) Result() (*Result, error) {
-	payload, err := json.Marshal(idMsg{ID: p.TaskID})
-	if err != nil {
-		return nil, err
-	}
-	out, err := p.front.client.Call(ServiceName(p.front.props.Backend), "wait", payload)
-	if err != nil {
-		return nil, err
-	}
 	var res Result
-	if err := json.Unmarshal(out, &res); err != nil {
+	if err := p.front.call("wait", idMsg{ID: p.TaskID}, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
 }
 
 // Status polls the task state without blocking.
-func (p *Pending) Status() (Status, error) {
-	payload, _ := json.Marshal(idMsg{ID: p.TaskID})
-	out, err := p.front.client.Call(ServiceName(p.front.props.Backend), "status", payload)
-	if err != nil {
-		return "", err
-	}
+func (p *Pending) Status() (Status, error) { return p.front.status(p.TaskID) }
+
+func (f *Frontend) status(id string) (Status, error) {
 	var st statusMsg
-	if err := json.Unmarshal(out, &st); err != nil {
-		return "", err
-	}
-	return st.Status, nil
+	err := f.call("status", idMsg{ID: id}, &st)
+	return st.Status, err
 }
 
 // RunAsync submits a circuit and returns immediately with a handle — the
 // non-blocking path variational workloads use to keep many circuit
 // evaluations in flight per optimizer iteration.
 func (f *Frontend) RunAsync(c *circuit.Circuit, opts RunOptions) (*Pending, error) {
-	payload, err := f.prepare(c, opts)
-	if err != nil {
-		return nil, err
-	}
-	out, err := f.client.Call(ServiceName(f.props.Backend), "submit", payload)
+	req, err := f.singleReq(c, opts)
 	if err != nil {
 		return nil, err
 	}
 	var id idMsg
-	if err := json.Unmarshal(out, &id); err != nil {
+	if err := f.call("submit", req, &id); err != nil {
 		return nil, err
 	}
 	return &Pending{front: f, TaskID: id.ID}, nil
 }
 
-// PendingBatch is an in-flight asynchronous batch execution.
+// PendingBatch is an in-flight asynchronous batch execution; like Pending it
+// owns its task until Frontend.Delete(BatchID).
 type PendingBatch struct {
 	front   *Frontend
 	BatchID string
@@ -132,90 +138,64 @@ type PendingBatch struct {
 // batched analog of RunAsync. One optimizer iteration's candidate set costs
 // one round trip instead of K.
 func (f *Frontend) RunBatchAsync(c *circuit.Circuit, bindings []Bindings, opts RunOptions) (*PendingBatch, error) {
-	if len(bindings) == 0 {
-		return nil, fmt.Errorf("core: empty batch")
-	}
-	spec, err := SpecFromParametric(c)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Subbackend == "" {
-		opts.Subbackend = f.props.Subbackend
-	}
-	payload, err := json.Marshal(batchSubmitReq{Spec: spec, Bindings: bindings, Opts: opts})
-	if err != nil {
-		return nil, err
-	}
-	out, err := f.client.Call(ServiceName(f.props.Backend), "submit_batch", payload)
+	req, err := f.batchReq(c, bindings, opts)
 	if err != nil {
 		return nil, err
 	}
 	var id idMsg
-	if err := json.Unmarshal(out, &id); err != nil {
+	if err := f.call("submit_batch", req, &id); err != nil {
 		return nil, err
 	}
 	return &PendingBatch{front: f, BatchID: id.ID, N: len(bindings)}, nil
+}
+
+// unpack turns a batch reply into the Frontend's return convention: on
+// element failures the partial results (nil at the failed slots) together
+// with the first element error.
+func (r batchWaitResp) unpack() ([]*Result, error) {
+	for i, e := range r.Errs {
+		if e != "" {
+			return r.Results, fmt.Errorf("core: batch element %d: %s", i, e)
+		}
+	}
+	return r.Results, nil
 }
 
 // Results blocks until every element finishes and returns the ordered
 // results. On element failures it returns the partial results (nil at the
 // failed slots) together with the first element error.
 func (p *PendingBatch) Results() ([]*Result, error) {
-	payload, err := json.Marshal(idMsg{ID: p.BatchID})
-	if err != nil {
+	var resp batchWaitResp
+	if err := p.front.call("wait_batch", idMsg{ID: p.BatchID}, &resp); err != nil {
 		return nil, err
 	}
-	out, err := p.front.client.Call(ServiceName(p.front.props.Backend), "wait_batch", payload)
+	return resp.unpack()
+}
+
+// Status polls the batch state without blocking.
+func (p *PendingBatch) Status() (Status, error) { return p.front.status(p.BatchID) }
+
+// RunBatch executes K parameter bindings of one circuit synchronously in a
+// single exec_batch round trip and returns the ordered results (partial
+// results plus the first element error when elements fail). The QPM reaps
+// the batch before replying.
+func (f *Frontend) RunBatch(c *circuit.Circuit, bindings []Bindings, opts RunOptions) ([]*Result, error) {
+	req, err := f.batchReq(c, bindings, opts)
 	if err != nil {
 		return nil, err
 	}
 	var resp batchWaitResp
-	if err := json.Unmarshal(out, &resp); err != nil {
+	if err := f.call("exec_batch", req, &resp); err != nil {
 		return nil, err
 	}
-	for i, e := range resp.Errs {
-		if e != "" {
-			return resp.Results, fmt.Errorf("core: batch element %d: %s", i, e)
-		}
-	}
-	return resp.Results, nil
-}
-
-// Status polls the batch state without blocking.
-func (p *PendingBatch) Status() (Status, error) {
-	payload, _ := json.Marshal(idMsg{ID: p.BatchID})
-	out, err := p.front.client.Call(ServiceName(p.front.props.Backend), "status", payload)
-	if err != nil {
-		return "", err
-	}
-	var st statusMsg
-	if err := json.Unmarshal(out, &st); err != nil {
-		return "", err
-	}
-	return st.Status, nil
-}
-
-// RunBatch executes K parameter bindings of one circuit synchronously
-// through a single submit_batch RPC and returns the ordered results.
-func (f *Frontend) RunBatch(c *circuit.Circuit, bindings []Bindings, opts RunOptions) ([]*Result, error) {
-	pending, err := f.RunBatchAsync(c, bindings, opts)
-	if err != nil {
-		return nil, err
-	}
-	return pending.Results()
+	return resp.unpack()
 }
 
 // Capabilities fetches the backend's Table-1 capability row.
 func (f *Frontend) Capabilities() (Capabilities, error) {
-	out, err := f.client.Call(ServiceName(f.props.Backend), "capabilities", nil)
-	if err != nil {
-		return Capabilities{}, err
-	}
 	var caps Capabilities
-	if err := json.Unmarshal(out, &caps); err != nil {
-		return Capabilities{}, err
-	}
-	return caps, nil
+	err := f.call("capabilities", nil, &caps)
+	return caps, err
 }
 
 // SupportsGradients reports whether the selected backend advertises the
@@ -240,46 +220,20 @@ func (f *Frontend) SupportsGradients() bool {
 }
 
 // RunGradient evaluates opts.Observable and its analytic gradient for K
-// parameter bindings of one symbolic circuit through a single submit_grad
-// RPC. Per-binding gradients come back ordered, each over the circuit's
-// sorted parameter names. The backend must advertise the gradient
-// capability (see SupportsGradients).
+// parameter bindings of one symbolic circuit in a single exec_grad round
+// trip (the QPM reaps the task before replying). Per-binding gradients come
+// back ordered, each over the circuit's sorted parameter names. The backend
+// must advertise the gradient capability (see SupportsGradients).
 func (f *Frontend) RunGradient(c *circuit.Circuit, bindings []Bindings, opts RunOptions) ([]GradResult, error) {
-	if len(bindings) == 0 {
-		return nil, fmt.Errorf("core: empty gradient batch")
-	}
 	if opts.Observable == nil {
 		return nil, fmt.Errorf("core: gradient execution requires an observable")
 	}
-	spec, err := SpecFromParametric(c)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Subbackend == "" {
-		opts.Subbackend = f.props.Subbackend
-	}
-	payload, err := json.Marshal(batchSubmitReq{Spec: spec, Bindings: bindings, Opts: opts})
-	if err != nil {
-		return nil, err
-	}
-	out, err := f.client.Call(ServiceName(f.props.Backend), "submit_grad", payload)
-	if err != nil {
-		return nil, err
-	}
-	var id idMsg
-	if err := json.Unmarshal(out, &id); err != nil {
-		return nil, err
-	}
-	payload, err = json.Marshal(idMsg{ID: id.ID})
-	if err != nil {
-		return nil, err
-	}
-	out, err = f.client.Call(ServiceName(f.props.Backend), "wait_grad", payload)
+	req, err := f.batchReq(c, bindings, opts)
 	if err != nil {
 		return nil, err
 	}
 	var resp gradWaitResp
-	if err := json.Unmarshal(out, &resp); err != nil {
+	if err := f.call("exec_grad", req, &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Results) != len(bindings) {
@@ -288,22 +242,15 @@ func (f *Frontend) RunGradient(c *circuit.Circuit, bindings []Bindings, opts Run
 	return resp.Results, nil
 }
 
-// Delete removes a finished task from the QPM.
+// Delete removes a finished task from the QPM — how the owner of an
+// asynchronous handle releases it.
 func (f *Frontend) Delete(taskID string) error {
-	payload, _ := json.Marshal(idMsg{ID: taskID})
-	_, err := f.client.Call(ServiceName(f.props.Backend), "delete", payload)
-	return err
+	return f.call("delete", idMsg{ID: taskID}, nil)
 }
 
 // List fetches the QPM's task table.
 func (f *Frontend) List() (map[string]Status, error) {
-	out, err := f.client.Call(ServiceName(f.props.Backend), "list", nil)
-	if err != nil {
-		return nil, err
-	}
 	var m map[string]Status
-	if err := json.Unmarshal(out, &m); err != nil {
-		return nil, err
-	}
-	return m, nil
+	err := f.call("list", nil, &m)
+	return m, err
 }

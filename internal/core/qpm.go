@@ -475,6 +475,47 @@ func (q *QPM) Submit(spec CircuitSpec, opts RunOptions) (string, error) {
 	return id, q.Run(id)
 }
 
+// Exec is the blocking form of Submit: Submit → Wait → Delete, so it is the
+// same execution path with the task reaped before the result is returned —
+// on success and on failure alike. It is what the "exec" RPC serves, and
+// what a synchronous caller should use: nothing is left in the task table.
+func (q *QPM) Exec(spec CircuitSpec, opts RunOptions) (*Result, error) {
+	id, err := q.Submit(spec, opts)
+	if id != "" { // Submit names the task even when enqueueing it failed
+		defer q.reap(id)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return q.Wait(id)
+}
+
+// ExecBatch is the blocking, self-reaping form of SubmitBatch + WaitBatch.
+func (q *QPM) ExecBatch(spec CircuitSpec, bindings []Bindings, opts RunOptions) ([]*Result, []string, error) {
+	id, err := q.SubmitBatch(spec, bindings, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer q.reap(id)
+	return q.WaitBatch(id)
+}
+
+// ExecGradient is the blocking, self-reaping form of SubmitGradient +
+// WaitGradient.
+func (q *QPM) ExecGradient(spec CircuitSpec, bindings []Bindings, opts RunOptions) ([]GradResult, error) {
+	id, err := q.SubmitGradient(spec, bindings, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer q.reap(id)
+	return q.WaitGradient(id)
+}
+
+// reap deletes a work item its blocking caller has waited out. A finished
+// or never-enqueued item always deletes; the one possible error is that a
+// client already deleted it by id, which leaves nothing to do.
+func (q *QPM) reap(id string) { _ = q.Delete(id) }
+
 // SubmitBatch registers and enqueues one parametric batch: a single spec
 // plus K bindings. Batch-native executors receive the whole batch as one
 // work item (so e.g. the cloud backend really maps it onto one REST job
@@ -993,11 +1034,43 @@ type statusMsg struct {
 	Status Status `json:"status"`
 }
 
-// Handle implements defw.Handler, exposing the QPM API over RPC: create,
-// run, submit, submit_batch, submit_grad, status, wait, wait_batch,
-// wait_grad, delete, list, capabilities.
+// Handle implements defw.Handler, exposing the QPM API over RPC: the
+// blocking one-round-trip exec, exec_batch and exec_grad (which reap their
+// task server-side), and the asynchronous create, run, submit, submit_batch,
+// submit_grad, status, wait, wait_batch, wait_grad, delete, list,
+// capabilities.
 func (q *QPM) Handle(method string, payload []byte) ([]byte, error) {
 	switch method {
+	case "exec":
+		var req submitReq
+		if err := json.Unmarshal(payload, &req); err != nil {
+			return nil, fmt.Errorf("qpm[%s]: bad payload: %w", q.backend, err)
+		}
+		res, err := q.Exec(req.Spec, req.Opts)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(res)
+	case "exec_batch":
+		var req batchSubmitReq
+		if err := json.Unmarshal(payload, &req); err != nil {
+			return nil, fmt.Errorf("qpm[%s]: bad payload: %w", q.backend, err)
+		}
+		results, errs, err := q.ExecBatch(req.Spec, req.Bindings, req.Opts)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(batchWaitResp{Results: results, Errs: errs})
+	case "exec_grad":
+		var req batchSubmitReq
+		if err := json.Unmarshal(payload, &req); err != nil {
+			return nil, fmt.Errorf("qpm[%s]: bad payload: %w", q.backend, err)
+		}
+		results, err := q.ExecGradient(req.Spec, req.Bindings, req.Opts)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(gradWaitResp{Results: results})
 	case "create", "submit":
 		var req submitReq
 		if err := json.Unmarshal(payload, &req); err != nil {

@@ -168,10 +168,6 @@ func (s *Server) dispatch(req request) response {
 	if !ok {
 		return response{ID: req.ID, Err: fmt.Sprintf("defw: unknown service %q", req.Service)}
 	}
-	defer func() {
-		// Handler panics become RPC errors at the caller, not crashes here;
-		// recovery happens in the wrapper below.
-	}()
 	payload, err := safeHandle(h, req.Method, req.Payload)
 	if err != nil {
 		return response{ID: req.ID, Err: err.Error()}
@@ -224,16 +220,28 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return buf, nil
 }
 
+// framePool recycles the buffers writeFrame assembles frames in. Buffers
+// that grew past maxPooledFrame are dropped instead of pooled, so one huge
+// reply does not pin its memory until the next GC cycle clears the pool.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledFrame = 4 << 20
+
+// writeFrame sends the 4-byte big-endian length and the body in a single
+// Write: one syscall and, with TCP_NODELAY, one segment for a small frame
+// instead of a header segment followed by a body segment.
 func writeFrame(w io.Writer, data []byte) error {
 	if uint64(len(data)) > uint64(maxFrameBytes) {
 		return fmt.Errorf("defw: frame too large (%d bytes, cap %d)", len(data), maxFrameBytes)
 	}
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(data)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
+	bp := framePool.Get().(*[]byte)
+	buf := binary.BigEndian.AppendUint32((*bp)[:0], uint32(len(data)))
+	buf = append(buf, data...)
+	_, err := w.Write(buf)
+	if cap(buf) <= maxPooledFrame {
+		*bp = buf[:0]
+		framePool.Put(bp)
 	}
-	_, err := w.Write(data)
 	return err
 }
 

@@ -2,7 +2,10 @@ package defw
 
 import (
 	"bytes"
+	"encoding/binary"
+	"net"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -27,6 +30,65 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if string(got) != string(payload) {
 		t.Fatalf("round trip %q", got)
+	}
+}
+
+// countingConn records every Write it forwards, so a test can see how many
+// writes (syscalls, on a real socket) a frame costs.
+type countingConn struct {
+	net.Conn
+	mu     sync.Mutex
+	writes [][]byte
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes = append(c.writes, append([]byte(nil), p...))
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+func (c *countingConn) snapshot() [][]byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([][]byte(nil), c.writes...)
+}
+
+// TestFrameIsOneWrite pins both halves of the framing contract: the wire
+// format is a 4-byte big-endian length followed by the body, and each frame
+// — request and reply alike — reaches the connection as exactly one Write.
+func TestFrameIsOneWrite(t *testing.T) {
+	s := NewServer()
+	s.Register("echo", HandlerFunc(echoHandler))
+	cliConn, srvConn := net.Pipe()
+	srvCount := &countingConn{Conn: srvConn}
+	cliCount := &countingConn{Conn: cliConn}
+	done := make(chan struct{})
+	go func() { defer close(done); s.ServeConn(srvCount) }()
+	c := newClient(cliCount)
+
+	const calls = 5
+	for i := 0; i < calls; i++ {
+		if _, err := c.Call("echo", "run", []byte(`{"x":1}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	<-done
+
+	for side, conn := range map[string]*countingConn{"client": cliCount, "server": srvCount} {
+		writes := conn.snapshot()
+		if len(writes) != calls {
+			t.Fatalf("%s issued %d writes for %d frames, want one write per frame", side, len(writes), calls)
+		}
+		for i, w := range writes {
+			if len(w) < 4 || int(binary.BigEndian.Uint32(w[:4])) != len(w)-4 {
+				t.Fatalf("%s write %d is not a whole length-prefixed frame: % x", side, i, w[:min(len(w), 8)])
+			}
+			if w[4] != '{' {
+				t.Fatalf("%s write %d body does not start a JSON object: %q", side, i, w[4:])
+			}
+		}
 	}
 }
 

@@ -7,9 +7,11 @@
 //     seeded runs, expectation-value memoization for analytic queries) with
 //     single-flight deduplication, so N concurrent identical submissions
 //     trigger one execution and repeats are served from memory;
-//   - session-affine batch coalescing: a short admission window merges many
-//     small submissions sharing a spec hash into one QPM batch, riding the
-//     compile-once-per-batch machinery of the execution engines;
+//   - session-affine batch coalescing under work-conserving (Nagle-style)
+//     admission: a submission dispatches at once unless its tenant already
+//     has a same-spec unit executing, in which case it rides behind that
+//     sibling and whatever arrives meanwhile leaves with it as one QPM batch,
+//     reusing the compile-once-per-batch machinery of the execution engines;
 //   - a weighted fair-share scheduler (stride scheduling over per-tenant
 //     FIFO queues) with per-tenant quotas and bounded queues that shed load
 //     with a typed ErrOverloaded instead of growing without bound.
@@ -22,6 +24,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -88,9 +91,12 @@ type Config struct {
 	// CacheCap bounds the result cache (entries). 0 means the default
 	// (4096); negative disables caching and single-flight deduplication.
 	CacheCap int
-	// Window is the coalescing admission window: a queued submission waits
-	// this long for same-spec friends before dispatch. 0 disables the
-	// wait (bursts still coalesce while dispatch slots are busy).
+	// Window bounds how long a mergeable submission may ride behind a
+	// same-group unit of its tenant that is still executing, absorbing
+	// same-group arrivals; it leaves as soon as that sibling resolves, the
+	// unit fills, or Window elapses. A submission with no such sibling
+	// never waits, so an idle server adds no latency. 0 disables the hold
+	// (bursts still coalesce while dispatch slots are busy).
 	Window time.Duration
 	// MaxBatch caps the elements of one coalesced dispatch (default 64).
 	MaxBatch int
@@ -175,7 +181,7 @@ func (s *submission) resolve(i int, res *core.Result, errStr string) {
 }
 
 // unit is one dispatchable group: a spec plus ordered elements that will
-// travel as a single QPM SubmitBatch. Mergeable units (analytic queries and
+// travel as a single QPM batch. Mergeable units (analytic queries and
 // unseeded singles, where per-element seeds carry no replay contract) keep
 // absorbing same-group arrivals until dispatch.
 type unit struct {
@@ -204,6 +210,7 @@ type tenantQueue struct {
 	pass        float64 // stride-scheduling virtual time
 	units       []*unit
 	open        map[string]*unit // queued mergeable units by group key
+	inflight    map[string]int   // dispatched, unresolved mergeable units by group key
 	outstanding int              // queued + dispatched elements
 	served      int64
 	shed        int64
@@ -312,7 +319,7 @@ func (s *Server) SetTenant(name string, weight, quota int) {
 func (s *Server) tenantLocked(name string) *tenantQueue {
 	t, ok := s.tenants[name]
 	if !ok {
-		t = &tenantQueue{name: name, weight: 1, quota: s.cfg.Quota, open: make(map[string]*unit)}
+		t = &tenantQueue{name: name, weight: 1, quota: s.cfg.Quota, open: make(map[string]*unit), inflight: make(map[string]int)}
 		s.tenants[name] = t
 	}
 	return t
@@ -585,36 +592,55 @@ func (s *Server) dispatcher() {
 	}
 }
 
-// nextUnitLocked removes and returns the next dispatchable unit, or the
-// time to wait until one matures. A unit is ready when its admission window
-// elapsed, it is full, or the server is draining.
+// heldUntil reports until when u must stay queued; a time not after now
+// (the zero time included) means it is ready. Admission is work-conserving:
+// only a mergeable unit whose tenant has a same-group unit dispatched and
+// unresolved is held, so that the arrivals behind that sibling leave as one
+// batch when it resolves (its completion wakes the dispatcher). A full unit,
+// an elapsed Window, or a draining server end the hold early.
+func (s *Server) heldUntil(t *tenantQueue, u *unit) time.Time {
+	if s.draining || u.groupKey == "" || t.inflight[u.groupKey] == 0 || len(u.elems) >= s.cfg.MaxBatch {
+		return time.Time{}
+	}
+	return u.enq.Add(s.cfg.Window)
+}
+
+// nextUnitLocked removes and returns the next dispatchable unit — the
+// oldest ready unit of the minimum-pass tenant — or, when every queued unit
+// is held, the time until the first hold expires.
 func (s *Server) nextUnitLocked(now time.Time) (*unit, time.Duration) {
 	var best *tenantQueue
+	bestIdx := 0
 	wait := time.Duration(-1)
 	for _, t := range s.tenants {
-		if len(t.units) == 0 {
-			continue
-		}
-		u := t.units[0]
-		ready := s.draining || s.cfg.Window <= 0 ||
-			now.Sub(u.enq) >= s.cfg.Window || len(u.elems) >= s.cfg.MaxBatch
-		if !ready {
-			if d := u.enq.Add(s.cfg.Window).Sub(now); wait < 0 || d < wait {
+		idx := -1
+		for i, u := range t.units {
+			d := s.heldUntil(t, u).Sub(now)
+			if d <= 0 {
+				idx = i
+				break
+			}
+			if wait < 0 || d < wait {
 				wait = d
 			}
+		}
+		if idx < 0 {
 			continue
 		}
 		if best == nil || t.pass < best.pass || (t.pass == best.pass && t.name < best.name) {
-			best = t
+			best, bestIdx = t, idx
 		}
 	}
 	if best == nil {
 		return nil, wait
 	}
-	u := best.units[0]
-	best.units = best.units[1:]
-	if u.groupKey != "" && best.open[u.groupKey] == u {
-		delete(best.open, u.groupKey)
+	u := best.units[bestIdx]
+	best.units = slices.Delete(best.units, bestIdx, bestIdx+1)
+	if u.groupKey != "" {
+		if best.open[u.groupKey] == u {
+			delete(best.open, u.groupKey)
+		}
+		best.inflight[u.groupKey]++
 	}
 	s.vtime = best.pass
 	best.pass += float64(len(u.elems)) / float64(best.weight)
@@ -634,17 +660,9 @@ func (s *Server) dispatch(u *unit) {
 	for i, e := range u.elems {
 		bindings[i] = e.binding
 	}
-	var results []*core.Result
-	var errs []string
-	id, err := s.qpm.SubmitBatch(u.spec, bindings, u.opts)
-	if err == nil {
-		results, errs, err = s.qpm.WaitBatch(id)
-		if err == nil {
-			// The serving layer owns the task lifecycle: reap the finished
-			// batch so a long-lived daemon's task table stays bounded.
-			_ = s.qpm.Delete(id)
-		}
-	}
+	// ExecBatch reaps the QPM batch whatever its outcome, so a long-lived
+	// daemon's task table stays bounded.
+	results, errs, err := s.qpm.ExecBatch(u.spec, bindings, u.opts)
 	finish()
 	s.busyNS.Add(int64(time.Since(start)))
 	s.groups.Add(1)
@@ -654,6 +672,12 @@ func (s *Server) dispatch(u *unit) {
 	t := s.tenantLocked(u.tenant)
 	t.outstanding -= len(u.elems)
 	t.served += int64(len(u.elems))
+	if u.groupKey != "" {
+		// The deferred signal wakes the dispatcher for units held behind us.
+		if t.inflight[u.groupKey]--; t.inflight[u.groupKey] == 0 {
+			delete(t.inflight, u.groupKey)
+		}
+	}
 	s.mu.Unlock()
 	s.served.Add(int64(len(u.elems)))
 	s.mServed.Add(int64(len(u.elems)))
@@ -723,7 +747,7 @@ func (s *Server) failUnit(u *unit, msg string) {
 
 // Drain closes admission and waits up to timeout for every queued and
 // dispatched element to resolve, reporting whether the layer fully drained.
-// The admission window stops applying so queued work flushes immediately.
+// Holds stop applying, so units riding behind a sibling flush immediately.
 func (s *Server) Drain(timeout time.Duration) bool {
 	s.mu.Lock()
 	s.draining = true

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +19,7 @@ import (
 // contract real simulators provide.
 type fakeExec struct {
 	deterministic bool
+	fail          bool          // every execution errors
 	gate          chan struct{} // non-nil: executions block until opened
 	once          sync.Once
 
@@ -57,6 +60,13 @@ func (f *fakeExec) calls() int {
 	return len(f.batches)
 }
 
+// sizes returns the size of every executor call so far, in dispatch order.
+func (f *fakeExec) sizes() []int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]int(nil), f.batches...)
+}
+
 func (f *fakeExec) dispatchOrder() []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -90,11 +100,17 @@ func fakeRun(spec core.CircuitSpec, b core.Bindings, o core.RunOptions) core.Exe
 
 func (f *fakeExec) Execute(spec core.CircuitSpec, opts core.RunOptions) (core.ExecResult, error) {
 	f.record(spec, 1)
+	if f.fail {
+		return core.ExecResult{}, fmt.Errorf("fake failure")
+	}
 	return fakeRun(spec, nil, opts), nil
 }
 
 func (f *fakeExec) ExecuteBatch(spec core.CircuitSpec, bindings []core.Bindings, opts core.RunOptions) ([]core.ExecResult, error) {
 	f.record(spec, len(bindings))
+	if f.fail {
+		return nil, fmt.Errorf("fake failure")
+	}
 	out := make([]core.ExecResult, len(bindings))
 	for i, b := range bindings {
 		out[i] = fakeRun(spec, b, opts.ForElement(i))
@@ -334,32 +350,147 @@ func TestSingleFlightDeduplicatesConcurrentIdenticalRuns(t *testing.T) {
 	}
 }
 
+// analyticBind is submission i of the coalescing tests: the same spec and
+// observable (one merge group), a distinct binding each.
+func analyticBind(i int) []core.Bindings {
+	return []core.Bindings{{"theta": float64(i) * 0.1}}
+}
+
+var analyticOpts = core.RunOptions{Observable: &core.Observable{Fields: []float64{1, -1}}}
+
+// execAsync runs one submission on its own goroutine and reports failures
+// through t.Error (it may not call t.Fatal off the test goroutine).
+func execAsync(t *testing.T, wg *sync.WaitGroup, s *Server, tenant string, spec core.CircuitSpec, bindings []core.Bindings, opts core.RunOptions) {
+	t.Helper()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		res, errs, _, err := s.Exec(tenant, spec, bindings, opts)
+		if err != nil || errs[0] != "" || res[0] == nil {
+			t.Errorf("tenant %s: %v %v", tenant, err, errs)
+		}
+	}()
+}
+
+// TestAdmissionWindowCoalescesAnalyticSubmissions pins the work-conserving
+// (Nagle-style) rule: the first submission of a group dispatches alone and
+// at once; the N-1 that arrive while it executes ride behind it and leave as
+// one unit the moment it resolves. The hour-long Window proves it is the
+// sibling's completion, not a timer, that releases them.
 func TestAdmissionWindowCoalescesAnalyticSubmissions(t *testing.T) {
-	f := &fakeExec{deterministic: true}
-	s := newServe(t, f, 2, Config{Window: 150 * time.Millisecond})
+	f := &fakeExec{deterministic: true, gate: make(chan struct{})}
+	s := newServe(t, f, 2, Config{Window: time.Hour})
 	sp := testSpec("coalesce")
-	obs := &core.Observable{Fields: []float64{1, -1}}
 
 	const n = 6
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			bind := []core.Bindings{{"theta": float64(i) * 0.1}}
-			res, errs, _, err := s.Exec("a", sp, bind, core.RunOptions{Observable: obs})
-			if err != nil || errs[0] != "" || res[0].ExpVal == nil {
-				t.Errorf("submission %d: %v %v", i, err, errs)
-			}
-		}(i)
+	execAsync(t, &wg, s, "a", sp, analyticBind(0), analyticOpts)
+	waitFor(t, "first submission dispatched alone", func() bool { return f.calls() == 1 })
+	for i := 1; i < n; i++ {
+		execAsync(t, &wg, s, "a", sp, analyticBind(i), analyticOpts)
 	}
+	waitFor(t, "burst held behind the sibling", func() bool { return s.Stats().QueueDepth == n-1 })
+	if f.calls() != 1 {
+		t.Fatalf("a second unit dispatched while the sibling was in flight (batches %v)", f.sizes())
+	}
+	f.open()
 	wg.Wait()
 
-	st := s.Stats()
-	if st.DispatchGroups != 1 || st.DispatchElems != n {
-		t.Fatalf("dispatched %d groups / %d elems, want 1 coalesced group of %d (batches %v)",
-			st.DispatchGroups, st.DispatchElems, n, f.batches)
+	if batches := f.sizes(); len(batches) != 2 || batches[0] != 1 || batches[1] != n-1 {
+		t.Fatalf("dispatched batches %v, want [1 %d]", batches, n-1)
 	}
+	if st := s.Stats(); st.DispatchGroups != 2 || st.DispatchElems != n {
+		t.Fatalf("dispatched %d groups / %d elems, want 2 / %d", st.DispatchGroups, st.DispatchElems, n)
+	}
+}
+
+// TestIdleServerAddsNoAdmissionDelay: with nothing of its group in flight a
+// mergeable request never waits, whatever Window says.
+func TestIdleServerAddsNoAdmissionDelay(t *testing.T) {
+	const window = 50 * time.Millisecond
+	f := &fakeExec{deterministic: true}
+	s := newServe(t, f, 2, Config{Window: window})
+	sp := testSpec("idle")
+
+	best := math.Inf(1)
+	for i := 0; i < 5; i++ {
+		res := mustExec(t, s, "a", sp, analyticBind(i), analyticOpts)
+		wait := res[0].Timings.CoalesceWaitMS
+		if wait >= float64(window/time.Millisecond)/2 {
+			t.Fatalf("request %d waited %.3f ms on an idle server (Window %s)", i, wait, window)
+		}
+		best = min(best, wait)
+	}
+	// One scheduler hiccup must not fail the test; five in a row would.
+	if best >= 1 {
+		t.Fatalf("best CoalesceWaitMS %.3f over 5 idle requests, want < 1", best)
+	}
+}
+
+// TestSeededUnitNeverHeld: seed-scheduled units are not mergeable, so they
+// dispatch at once even while the same spec is executing — also from behind
+// a held mergeable unit of their own tenant.
+func TestSeededUnitNeverHeld(t *testing.T) {
+	f := &fakeExec{deterministic: true, gate: make(chan struct{})}
+	s := newServe(t, f, 4, Config{Window: time.Hour})
+	sp := testSpec("seeded")
+
+	var wg sync.WaitGroup
+	execAsync(t, &wg, s, "a", sp, nil, core.RunOptions{Shots: 8, Seed: 1})
+	waitFor(t, "first seeded dispatch", func() bool { return f.calls() == 1 })
+	execAsync(t, &wg, s, "a", sp, nil, core.RunOptions{Shots: 8, Seed: 2})
+	waitFor(t, "second seeded dispatch beside the first", func() bool { return f.calls() == 2 })
+
+	// An unseeded single is mergeable: its twin is held behind it...
+	execAsync(t, &wg, s, "a", sp, nil, core.RunOptions{Shots: 8})
+	waitFor(t, "unseeded dispatch", func() bool { return f.calls() == 3 })
+	execAsync(t, &wg, s, "a", sp, nil, core.RunOptions{Shots: 8})
+	waitFor(t, "unseeded twin held", func() bool { return s.Stats().QueueDepth == 1 })
+	// ...and a seeded unit queued after the held one still leaves at once.
+	execAsync(t, &wg, s, "a", sp, nil, core.RunOptions{Shots: 8, Seed: 3})
+	waitFor(t, "seeded dispatch past the held unit", func() bool { return f.calls() == 4 })
+	if depth := s.Stats().QueueDepth; depth != 1 {
+		t.Fatalf("queue depth %d, want the one held unit", depth)
+	}
+	f.open()
+	wg.Wait()
+}
+
+// TestHeldUnitLeavesAfterWindow: Window is the upper bound on riding behind
+// a sibling that is still running.
+func TestHeldUnitLeavesAfterWindow(t *testing.T) {
+	const window = 30 * time.Millisecond
+	f := &fakeExec{deterministic: true, gate: make(chan struct{})}
+	s := newServe(t, f, 2, Config{Window: window})
+	sp := testSpec("bounded")
+
+	var wg sync.WaitGroup
+	execAsync(t, &wg, s, "a", sp, analyticBind(0), analyticOpts)
+	waitFor(t, "sibling dispatch", func() bool { return f.calls() == 1 })
+	t0 := time.Now()
+	execAsync(t, &wg, s, "a", sp, analyticBind(1), analyticOpts)
+	waitFor(t, "held unit dispatched with the sibling still gated", func() bool { return f.calls() == 2 })
+	if held := time.Since(t0); held < window {
+		t.Fatalf("held unit left after %s, before Window %s elapsed", held, window)
+	}
+	f.open()
+	wg.Wait()
+}
+
+// TestTenantsNeverHoldEachOther: the hold is per tenant — another tenant's
+// in-flight unit of the same group delays nobody.
+func TestTenantsNeverHoldEachOther(t *testing.T) {
+	f := &fakeExec{deterministic: true, gate: make(chan struct{})}
+	s := newServe(t, f, 2, Config{Window: time.Hour})
+	sp := testSpec("tenants")
+
+	var wg sync.WaitGroup
+	execAsync(t, &wg, s, "alice", sp, analyticBind(0), analyticOpts)
+	waitFor(t, "alice dispatch", func() bool { return f.calls() == 1 })
+	execAsync(t, &wg, s, "bob", sp, analyticBind(1), analyticOpts)
+	waitFor(t, "bob dispatch beside alice", func() bool { return f.calls() == 2 })
+	f.open()
+	wg.Wait()
 }
 
 func TestCoalescedUnitCapsAtMaxBatch(t *testing.T) {
@@ -603,30 +734,59 @@ func TestGlobalQueueCapShedsWithTypedError(t *testing.T) {
 // ---- lifecycle --------------------------------------------------------
 
 func TestDrainFlushesWindowAndClosesAdmission(t *testing.T) {
-	f := &fakeExec{deterministic: true}
-	// An hour-long window: only draining can flush the queued unit in time.
+	f := &fakeExec{deterministic: true, gate: make(chan struct{})}
+	// An hour-long window: with the sibling gated, only draining can flush
+	// the unit held behind it.
 	s := newServe(t, f, 2, Config{Window: time.Hour})
 	sp := testSpec("drain")
 
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		mustExec(t, s, "a", sp, nil, core.RunOptions{Shots: 8})
-	}()
-	waitFor(t, "queued unit", func() bool { return s.Stats().QueueDepth == 1 })
+	execAsync(t, &wg, s, "a", sp, nil, core.RunOptions{Shots: 8})
+	waitFor(t, "sibling dispatch", func() bool { return f.calls() == 1 })
+	execAsync(t, &wg, s, "a", sp, nil, core.RunOptions{Shots: 8})
+	waitFor(t, "held unit", func() bool { return s.Stats().QueueDepth == 1 })
 
-	if !s.Drain(5 * time.Second) {
-		t.Fatal("drain timed out with an idle executor")
+	drained := make(chan bool, 1)
+	go func() { drained <- s.Drain(5 * time.Second) }()
+	waitFor(t, "drain flushing the held unit", func() bool { return f.calls() == 2 })
+	f.open()
+	if !<-drained {
+		t.Fatal("drain timed out with the executor released")
 	}
 	wg.Wait()
-	if f.calls() != 1 {
-		t.Fatalf("queued unit not flushed by drain (calls %d)", f.calls())
-	}
 
 	_, _, _, err := s.Exec("a", sp, nil, core.RunOptions{Shots: 8})
 	if !core.IsDraining(err) {
 		t.Fatalf("post-drain submission returned %v, want ErrDraining", err)
+	}
+}
+
+// TestFailedDispatchIsReaped: the serving layer owns the lifecycle of the
+// QPM batches it creates, so a dispatch whose every element failed must not
+// stay in the QPM's task table any more than a successful one.
+func TestFailedDispatchIsReaped(t *testing.T) {
+	f := &fakeExec{deterministic: true, fail: true}
+	q := core.NewQPM(f, 2, nil)
+	defer q.Close()
+	s := New(q, Config{}, nil)
+	defer s.Close()
+
+	for _, bindings := range [][]core.Bindings{nil, {{"t": 0.1}, {"t": 0.2}}} {
+		_, errs, _, err := s.Exec("a", testSpec("doomed"), bindings, core.RunOptions{Shots: 4, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range errs {
+			if !strings.Contains(e, "fake failure") {
+				t.Fatalf("element %d error %q, want the executor's failure", i, e)
+			}
+		}
+	}
+	if list := q.List(); len(list) != 0 {
+		t.Fatalf("QPM task table after failed dispatches: %v, want empty", list)
+	}
+	if st := s.Stats(); st.Tenants["a"].Outstanding != 0 {
+		t.Fatalf("failed elements still outstanding: %+v", st.Tenants["a"])
 	}
 }
 

@@ -22,11 +22,18 @@
 // "tnqvm" (exatn-mps), "qtensor" (tree tensor network), and "ionq"
 // (simulated cloud REST service).
 //
+// The synchronous calls — Run, RunBatch, RunGradient — cost one RPC each:
+// the QPM executes, replies with the result and reaps the task itself, so
+// nothing accumulates in the daemon however many circuits an application
+// runs. The asynchronous handles (RunAsync, RunBatchAsync) split that into
+// submit and wait so work can overlap; such a handle owns its task until
+// the application calls Frontend.Delete with its id.
+//
 // # Batched parametric execution
 //
 // Variational workloads evaluate one ansatz under many parameter bindings
 // per optimizer iteration. The batch API ships the symbolic circuit once
-// and the bindings as a list, costing a single submit_batch RPC (and a
+// and the bindings as a list, costing a single exec_batch RPC (and a
 // single QASM parse backend-side) for the whole candidate set:
 //
 //	ansatz := qfw.NewCircuit(2)
