@@ -61,12 +61,12 @@ func (f *Frontend) singleReq(c *circuit.Circuit, opts RunOptions) (submitReq, er
 	return submitReq{Spec: spec, Opts: f.withSubbackend(opts)}, err
 }
 
-func (f *Frontend) batchReq(c *circuit.Circuit, bindings []Bindings, opts RunOptions) (batchSubmitReq, error) {
+func (f *Frontend) batchReq(c *circuit.Circuit, bindings []Bindings, opts RunOptions) (submitReq, error) {
 	if len(bindings) == 0 {
-		return batchSubmitReq{}, fmt.Errorf("core: empty batch")
+		return submitReq{}, fmt.Errorf("core: empty batch")
 	}
 	spec, err := SpecFromParametric(c)
-	return batchSubmitReq{Spec: spec, Bindings: bindings, Opts: f.withSubbackend(opts)}, err
+	return submitReq{Spec: spec, Bindings: bindings, Opts: f.withSubbackend(opts)}, err
 }
 
 // Run executes a circuit synchronously in one "exec" round trip and returns

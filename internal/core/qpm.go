@@ -2,106 +2,98 @@ package core
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"qfw/internal/defw"
 	"qfw/internal/faults"
 	"qfw/internal/trace"
 )
 
-// task is one circuit-execution job tracked by a QPM.
-type task struct {
+// jobKind describes one of the three kinds of job: the infix of its IDs
+// ("<backend>-<infix>N") and the noun its error messages use. Beyond those,
+// a kind decides only which executor call serves the job (see work):
+// registration, the status lifecycle, waiting and deletion are shared.
+type jobKind struct{ infix, noun string }
+
+var (
+	kindSingle   = &jobKind{"", "task"}                // one circuit through Execute
+	kindBatch    = &jobKind{"batch-", "batch"}         // K bindings through ExecuteBatch, or chunks of Execute
+	kindGradient = &jobKind{"grad-", "gradient batch"} // K bindings through ExecuteGradient, as one work item
+)
+
+// job is one unit of offloaded work tracked by a QPM: a circuit spec, K ≥ 0
+// parameter bindings and the options they run under. Outcomes live in slots:
+// a batch has one per binding, so elements fail independently; a single run
+// and a gradient batch succeed or fail whole and have one. The slots are
+// written by the job's work items (each its own range) and read only after
+// done is closed.
+type job struct {
 	id       string
-	spec     CircuitSpec
-	opts     RunOptions
-	deadline time.Time // zero = none; from RunOptions.TimeoutMS at creation
-
-	mu        sync.Mutex
-	status    Status
-	cancelled bool
-	result    *Result
-	errMsg    string
-	created   time.Time
-	started   time.Time
-	finished  time.Time
-	done      chan struct{}
-}
-
-func (t *task) snapshotStatus() Status {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.status
-}
-
-// batchTask is one parametric batch: a single transmitted spec plus K
-// parameter bindings, fanned across the QRC workers in contiguous chunks
-// and reassembled in order.
-type batchTask struct {
-	id       string
+	kind     *jobKind
 	spec     CircuitSpec
 	bindings []Bindings
 	opts     RunOptions
 	created  time.Time
-	deadline time.Time
+	deadline time.Time // zero = none
 
 	mu        sync.Mutex
 	status    Status
 	cancelled bool
-	results   []*Result
-	errs      []string
-	pending   int
-	done      chan struct{}
+	pending   int           // work items enqueued and not yet finished
+	done      chan struct{} // closed when the last work item finishes
+
+	results []*Result    // per slot; nil where the slot failed (unused by gradients)
+	errs    []string     // per slot; "" for success
+	grads   []GradResult // kindGradient: one per binding
 }
 
-func (bt *batchTask) snapshotStatus() Status {
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	return bt.status
+func (j *job) snapshotStatus() Status {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.status
 }
 
-// gradTask is one gradient batch: a single parametric spec plus K bindings,
-// evaluated through the backend's GradientExecutor as one work item (the
-// adjoint engine fans bindings across its own worker pool).
-type gradTask struct {
-	id       string
-	created  time.Time
-	deadline time.Time
-
-	mu        sync.Mutex
-	status    Status
-	cancelled bool
-	results   []GradResult
-	errMsg    string
-	done      chan struct{}
+// begin admits one work item to a worker: Queued → Running. It reports false
+// for a job deleted while the item sat in the queue — the item still reaches
+// a worker but must not trigger a backend execution.
+func (j *job) begin() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.cancelled {
+		return false
+	}
+	j.status = StatusRunning
+	return true
 }
 
-func (gt *gradTask) snapshotStatus() Status {
-	gt.mu.Lock()
-	defer gt.mu.Unlock()
-	return gt.status
+// failure is the error of a job that succeeds or fails whole.
+func (j *job) failure() error {
+	if j.errs[0] != "" {
+		return errors.New(j.errs[0])
+	}
+	return nil
 }
 
 // QPM is a Quantum Platform Manager service instance for one backend: it
-// owns the task queue and circuit lifecycle and dispatches work round-robin
-// to its QRC worker threads. Work items are closures, so single tasks and
-// batch chunks share the same queue and worker pool.
+// owns the job table, the work queue and the circuit lifecycle, and
+// dispatches work round-robin to its QRC worker threads. Work items are
+// closures, so jobs of every kind share the same queue and worker pool.
 type QPM struct {
 	backend  string
 	exec     Executor
 	rec      *trace.Recorder
 	cache    *ParseCache
 	queue    chan func(worker string)
-	queueCap int
 	nextID   atomic.Int64
 	inflight atomic.Int64 // queued + running work items
 	busyNS   atomic.Int64 // cumulative worker busy time (utilization source)
 	mu       sync.Mutex
-	tasks    map[string]*task
-	batches  map[string]*batchTask
-	grads    map[string]*gradTask
+	jobs     map[string]*job
+	methods  map[string]func(payload []byte) ([]byte, error) // RPC table, see rpcMethods
 	closed   bool
 	quiesced bool
 	workers  int
@@ -134,17 +126,14 @@ func newQPMWithQueueCap(exec Executor, workers int, rec *trace.Recorder, queueCa
 		queueCap = defaultQueueCap
 	}
 	q := &QPM{
-		backend:  exec.Name(),
-		exec:     exec,
-		rec:      rec,
-		cache:    NewParseCache(),
-		queue:    make(chan func(worker string), queueCap),
-		queueCap: queueCap,
-		tasks:    make(map[string]*task),
-		batches:  make(map[string]*batchTask),
-		grads:    make(map[string]*gradTask),
-		workers:  workers,
-		retry:    DefaultRetryPolicy(),
+		backend: exec.Name(),
+		exec:    exec,
+		rec:     rec,
+		cache:   NewParseCache(),
+		queue:   make(chan func(worker string), queueCap),
+		jobs:    make(map[string]*job),
+		workers: workers,
+		retry:   DefaultRetryPolicy(),
 	}
 	met := rec.Metrics()
 	q.mTasks = met.Counter(trace.LabeledName("qfw_qpm_tasks_total", "backend", q.backend))
@@ -152,6 +141,7 @@ func newQPMWithQueueCap(exec Executor, workers int, rec *trace.Recorder, queueCa
 	q.mRetries = met.Counter(trace.LabeledName("qfw_qpm_retries_total", "backend", q.backend))
 	q.hQueue = met.Histogram(trace.LabeledName("qfw_qpm_queue_ms", "backend", q.backend))
 	q.hExec = met.Histogram(trace.LabeledName("qfw_qpm_exec_ms", "backend", q.backend))
+	q.methods = q.rpcMethods()
 	for w := 0; w < workers; w++ {
 		q.workerWG.Add(1)
 		go q.qrcWorker(w)
@@ -198,21 +188,6 @@ func (q *QPM) SetRetryPolicy(p faults.Policy) {
 	q.mu.Unlock()
 }
 
-func (q *QPM) retryPolicy() faults.Policy {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.retry
-}
-
-// deadlineFor converts RunOptions.TimeoutMS into an absolute deadline
-// anchored at submission, so queue wait counts against the budget.
-func deadlineFor(created time.Time, opts RunOptions) time.Time {
-	if opts.TimeoutMS <= 0 {
-		return time.Time{}
-	}
-	return created.Add(time.Duration(opts.TimeoutMS) * time.Millisecond)
-}
-
 // guarded runs one executor call with panic isolation and an optional
 // deadline. The call executes on its own goroutine: a panic is recovered
 // into a transient error (one crashing element must never take the worker
@@ -222,7 +197,7 @@ func deadlineFor(created time.Time, opts RunOptions) time.Time {
 // already-expired deadline fails fast without touching the backend.
 func guarded[T any](deadline time.Time, what string, call func() (T, error)) (T, error) {
 	var zero T
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
+	if deadlinePassed(deadline) {
 		return zero, fmt.Errorf("%s: %w (expired before execution)", what, ErrDeadlineExceeded)
 	}
 	type outcome struct {
@@ -258,28 +233,6 @@ func guarded[T any](deadline time.Time, what string, call func() (T, error)) (T,
 	}
 }
 
-// execGuarded is one single-circuit execution under the full fault
-// envelope: panic isolation, deadline, and transient retry. Each attempt
-// records an "executor:" span on the worker's row (nesting under the
-// caller's "exec:" span in the Chrome trace), and the returned RetryStats
-// separate backoff time from execution time in the Timings breakdown.
-func (q *QPM) execGuarded(spec CircuitSpec, opts RunOptions, deadline time.Time, what, worker string) (ExecResult, faults.RetryStats, error) {
-	var res ExecResult
-	rs, err := q.retryPolicy().DoStats(func(int) error {
-		finish := q.rec.Span("executor:"+spec.Name, worker)
-		defer finish()
-		var err error
-		res, err = guarded(deadline, what, func() (ExecResult, error) {
-			return q.exec.Execute(spec, opts)
-		})
-		return err
-	})
-	if rs.Attempts > 1 {
-		q.mRetries.Add(int64(rs.Attempts - 1))
-	}
-	return res, rs, err
-}
-
 // qrcWorker is one Quantum Resource Controller thread: it pulls queued work
 // items and triggers backend executions (MPI runs for local simulators,
 // REST calls for cloud backends). Busy time accumulates per work item for
@@ -301,11 +254,8 @@ func (q *QPM) qrcWorker(id int) {
 func (q *QPM) enqueue(job func(worker string)) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
-		return fmt.Errorf("qpm[%s]: closed", q.backend)
-	}
-	if q.quiesced {
-		return fmt.Errorf("qpm[%s]: %w", q.backend, ErrDraining)
+	if err := q.admitting(); err != nil {
+		return err
 	}
 	select {
 	case q.queue <- job:
@@ -314,6 +264,18 @@ func (q *QPM) enqueue(job func(worker string)) error {
 	default:
 		return fmt.Errorf("qpm[%s]: queue full", q.backend)
 	}
+}
+
+// admitting reports why the QPM takes no new work, if it does not; q.mu
+// must be held.
+func (q *QPM) admitting() error {
+	if q.closed {
+		return fmt.Errorf("qpm[%s]: closed", q.backend)
+	}
+	if q.quiesced {
+		return fmt.Errorf("qpm[%s]: %w", q.backend, ErrDraining)
+	}
+	return nil
 }
 
 // Quiesce closes admission without stopping the workers: subsequent Create
@@ -341,52 +303,6 @@ func (q *QPM) Drain(timeout time.Duration) bool {
 		time.Sleep(time.Millisecond)
 	}
 	return true
-}
-
-// runTask executes one single-circuit task on a QRC worker.
-func (q *QPM) runTask(t *task, worker string) {
-	t.mu.Lock()
-	if t.cancelled {
-		// Deleted while queued: the work item reaches a worker but must not
-		// trigger a backend execution.
-		t.status = StatusFailed
-		t.errMsg = "cancelled"
-		close(t.done)
-		t.mu.Unlock()
-		return
-	}
-	t.status = StatusRunning
-	t.started = time.Now()
-	t.mu.Unlock()
-
-	finish := q.rec.Span("exec:"+t.spec.Name, worker)
-	res, rs, err := q.execGuarded(t.spec, t.opts, t.deadline, "exec:"+t.spec.Name, worker)
-	finish()
-
-	t.mu.Lock()
-	t.finished = time.Now()
-	if err != nil {
-		t.status = StatusFailed
-		t.errMsg = err.Error()
-		q.mFails.Inc()
-	} else {
-		t.status = StatusDone
-		tm := taskTimings(t.created, t.started, t.finished, rs)
-		q.observeTimings(tm)
-		t.result = &Result{
-			TaskID:     t.id,
-			Backend:    q.backend,
-			Subbackend: t.opts.Subbackend,
-			Counts:     res.Counts,
-			ExpVal:     res.ExpVal,
-			TruncErr:   res.TruncErr,
-			Extra:      res.Extra,
-			Route:      res.Route,
-			Timings:    tm,
-		}
-	}
-	close(t.done)
-	t.mu.Unlock()
 }
 
 // taskTimings assembles the breakdown of one executed work item: queue
@@ -427,52 +343,139 @@ func (q *QPM) Close() {
 	q.workerWG.Wait()
 }
 
-// Create registers a circuit+options as a new task without running it.
-func (q *QPM) Create(spec CircuitSpec, opts RunOptions) (string, error) {
+// register validates a submission, mints its ID and enters it, Queued, in
+// the job table — the first step of every entry point. items is how many
+// work items the caller is about to enqueue for it.
+func (q *QPM) register(kind *jobKind, spec CircuitSpec, bindings []Bindings, opts RunOptions, items int) (*job, error) {
 	if spec.QASM == "" {
-		return "", fmt.Errorf("qpm[%s]: empty circuit spec", q.backend)
+		return nil, fmt.Errorf("qpm[%s]: empty circuit spec", q.backend)
 	}
-	id := fmt.Sprintf("%s-%d", q.backend, q.nextID.Add(1))
+	if kind != kindSingle && len(bindings) == 0 {
+		return nil, fmt.Errorf("qpm[%s]: empty %s", q.backend, kind.noun)
+	}
+	slots := 1
+	if kind == kindBatch {
+		slots = len(bindings)
+	}
+	// The deadline is anchored at submission, so queue wait counts against
+	// the RunOptions.TimeoutMS budget.
 	created := time.Now()
-	t := &task{
-		id:       id,
+	var deadline time.Time
+	if opts.TimeoutMS > 0 {
+		deadline = created.Add(time.Duration(opts.TimeoutMS) * time.Millisecond)
+	}
+	j := &job{
+		id:       fmt.Sprintf("%s-%s%d", q.backend, kind.infix, q.nextID.Add(1)),
+		kind:     kind,
 		spec:     spec,
+		bindings: bindings,
 		opts:     opts,
-		deadline: deadlineFor(created, opts),
-		status:   StatusQueued,
 		created:  created,
+		deadline: deadline,
+		status:   StatusQueued,
+		pending:  items,
 		done:     make(chan struct{}),
+		results:  make([]*Result, slots),
+		errs:     make([]string, slots),
 	}
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return "", fmt.Errorf("qpm[%s]: closed", q.backend)
+	defer q.mu.Unlock()
+	if err := q.admitting(); err != nil {
+		return nil, err
 	}
-	if q.quiesced {
-		q.mu.Unlock()
-		return "", fmt.Errorf("qpm[%s]: %w", q.backend, ErrDraining)
-	}
-	q.tasks[id] = t
-	q.mu.Unlock()
-	return id, nil
+	q.jobs[j.id] = j
+	return j, nil
 }
 
-// Run enqueues a previously created task.
+// Create registers a circuit+options as a new task without running it.
+func (q *QPM) Create(spec CircuitSpec, opts RunOptions) (string, error) {
+	return q.submit(kindSingle, spec, nil, opts, 0)
+}
+
+// Run enqueues a previously created task. When the queue refuses it the
+// task stays Queued in the table — the caller holds its id and may Run it
+// again or Delete it.
 func (q *QPM) Run(id string) error {
-	t, err := q.lookup(id)
+	j, err := q.lookup(id, kindSingle)
 	if err != nil {
 		return err
 	}
-	return q.enqueue(func(worker string) { q.runTask(t, worker) })
+	// A second "run" of one id must not execute it twice and close done twice.
+	j.mu.Lock()
+	fresh := j.pending == 0 && j.status == StatusQueued
+	if fresh {
+		j.pending = 1
+	}
+	j.mu.Unlock()
+	if !fresh {
+		return fmt.Errorf("qpm[%s]: task %s already run", q.backend, id)
+	}
+	err = q.enqueue(func(worker string) { q.work(j, 0, 1, worker) })
+	if err != nil {
+		j.mu.Lock()
+		j.pending = 0
+		j.mu.Unlock()
+	}
+	return err
 }
 
-// Submit is Create followed by Run.
+// Submit is Create followed by Run. A task the queue refuses is unregistered
+// again: the caller never learns its id, so nobody could delete it later.
 func (q *QPM) Submit(spec CircuitSpec, opts RunOptions) (string, error) {
 	id, err := q.Create(spec, opts)
 	if err != nil {
 		return "", err
 	}
-	return id, q.Run(id)
+	if err := q.Run(id); err != nil {
+		q.reap(id)
+		return "", err
+	}
+	return id, nil
+}
+
+// SubmitBatch registers and enqueues one parametric batch: a single spec
+// plus K bindings. Batch-native executors receive the whole batch as one
+// work item (so e.g. the cloud backend really maps it onto one REST job
+// array and parallelism is the executor's choice); executors without batch
+// support are fanned across the QRC workers in contiguous chunks. Results
+// come back ordered via WaitBatch. Chunks that cannot be enqueued (queue
+// full) fail their elements instead of failing the whole batch.
+func (q *QPM) SubmitBatch(spec CircuitSpec, bindings []Bindings, opts RunOptions) (string, error) {
+	items := 1
+	if _, native := q.exec.(BatchExecutor); !native {
+		items = min(q.workers, len(bindings))
+	}
+	return q.submit(kindBatch, spec, bindings, opts, items)
+}
+
+// SubmitGradient registers and enqueues one gradient batch, evaluated as one
+// work item (the adjoint engine fans bindings across its own worker pool).
+// The backend must implement GradientExecutor — callers probe
+// Capabilities.Gradients first; a submit against a non-differentiating
+// backend fails immediately rather than queueing doomed work.
+func (q *QPM) SubmitGradient(spec CircuitSpec, bindings []Bindings, opts RunOptions) (string, error) {
+	if _, ok := q.exec.(GradientExecutor); !ok {
+		return "", fmt.Errorf("qpm[%s]: backend does not support gradient execution", q.backend)
+	}
+	return q.submit(kindGradient, spec, bindings, opts, 1)
+}
+
+// submit registers a job and enqueues its work as items work items over
+// contiguous slot ranges. An item the queue refuses fails its own slots with
+// the queue's error; the job itself is always accepted.
+func (q *QPM) submit(kind *jobKind, spec CircuitSpec, bindings []Bindings, opts RunOptions, items int) (string, error) {
+	j, err := q.register(kind, spec, bindings, opts, items)
+	if err != nil {
+		return "", err
+	}
+	k := len(j.errs)
+	for w := 0; w < items; w++ {
+		lo, hi := w*k/items, (w+1)*k/items
+		if err := q.enqueue(func(worker string) { q.work(j, lo, hi, worker) }); err != nil {
+			q.fail(j, lo, hi, err.Error())
+		}
+	}
+	return j.id, nil
 }
 
 // Exec is the blocking form of Submit: Submit → Wait → Delete, so it is the
@@ -481,12 +484,10 @@ func (q *QPM) Submit(spec CircuitSpec, opts RunOptions) (string, error) {
 // what a synchronous caller should use: nothing is left in the task table.
 func (q *QPM) Exec(spec CircuitSpec, opts RunOptions) (*Result, error) {
 	id, err := q.Submit(spec, opts)
-	if id != "" { // Submit names the task even when enqueueing it failed
-		defer q.reap(id)
-	}
 	if err != nil {
 		return nil, err
 	}
+	defer q.reap(id)
 	return q.Wait(id)
 }
 
@@ -511,197 +512,194 @@ func (q *QPM) ExecGradient(spec CircuitSpec, bindings []Bindings, opts RunOption
 	return q.WaitGradient(id)
 }
 
-// reap deletes a work item its blocking caller has waited out. A finished
-// or never-enqueued item always deletes; the one possible error is that a
+// reap deletes a job its blocking caller has waited out. A finished or
+// never-enqueued job always deletes; the one possible error is that a
 // client already deleted it by id, which leaves nothing to do.
 func (q *QPM) reap(id string) { _ = q.Delete(id) }
 
-// SubmitBatch registers and enqueues one parametric batch: a single spec
-// plus K bindings. Batch-native executors receive the whole batch as one
-// work item (so e.g. the cloud backend really maps it onto one REST job
-// array and parallelism is the executor's choice); executors without batch
-// support are fanned across the QRC workers in contiguous chunks. Results
-// come back ordered via WaitBatch. Chunks that cannot be enqueued (queue
-// full) fail their elements instead of failing the whole batch.
-func (q *QPM) SubmitBatch(spec CircuitSpec, bindings []Bindings, opts RunOptions) (string, error) {
-	if spec.QASM == "" {
-		return "", fmt.Errorf("qpm[%s]: empty circuit spec", q.backend)
+// fail retires one work item without executing it: its slots take msg as
+// their error.
+func (q *QPM) fail(j *job, lo, hi int, msg string) {
+	for i := lo; i < hi; i++ {
+		j.errs[i] = msg
 	}
-	if len(bindings) == 0 {
-		return "", fmt.Errorf("qpm[%s]: empty batch", q.backend)
-	}
-	id := fmt.Sprintf("%s-batch-%d", q.backend, q.nextID.Add(1))
-	k := len(bindings)
-	nchunks := 1
-	if _, ok := q.exec.(BatchExecutor); !ok {
-		nchunks = q.workers
-		if nchunks > k {
-			nchunks = k
-		}
-	}
-	created := time.Now()
-	bt := &batchTask{
-		id:       id,
-		spec:     spec,
-		bindings: bindings,
-		opts:     opts,
-		created:  created,
-		deadline: deadlineFor(created, opts),
-		status:   StatusQueued,
-		results:  make([]*Result, k),
-		errs:     make([]string, k),
-		pending:  nchunks,
-		done:     make(chan struct{}),
-	}
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return "", fmt.Errorf("qpm[%s]: closed", q.backend)
-	}
-	if q.quiesced {
-		q.mu.Unlock()
-		return "", fmt.Errorf("qpm[%s]: %w", q.backend, ErrDraining)
-	}
-	q.batches[id] = bt
-	q.mu.Unlock()
-	for w := 0; w < nchunks; w++ {
-		lo, hi := w*k/nchunks, (w+1)*k/nchunks
-		if err := q.enqueue(func(worker string) { q.runBatchChunk(bt, lo, hi, worker) }); err != nil {
-			for i := lo; i < hi; i++ {
-				bt.errs[i] = err.Error()
-			}
-			q.finishChunk(bt)
-		}
-	}
-	return id, nil
+	q.finish(j)
 }
 
-// runBatchChunk executes bindings[lo:hi] of a batch on one QRC worker:
+// finish retires one work item. The last one settles the job — Done, or
+// Failed with every failed slot counted — and releases the waiters.
+func (q *QPM) finish(j *job) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.pending--
+	if j.pending > 0 {
+		return
+	}
+	j.status = StatusDone
+	var failed int64
+	for _, e := range j.errs {
+		if e != "" {
+			failed++
+		}
+	}
+	if failed > 0 {
+		j.status = StatusFailed
+		q.mFails.Add(failed)
+	}
+	close(j.done)
+}
+
+// work is one queued work item: slots [lo, hi) of j on a QRC worker. The
+// kinds differ only in the executor call made here.
+func (q *QPM) work(j *job, lo, hi int, worker string) {
+	if !j.begin() {
+		q.fail(j, lo, hi, "cancelled")
+		return
+	}
+	defer q.finish(j)
+	name := j.spec.Name
+	switch j.kind {
+	case kindSingle:
+		defer q.rec.Span("exec:"+name, worker)()
+		q.runSlot(j, 0, "exec:"+name, worker, func() (ExecResult, error) {
+			return q.exec.Execute(j.spec, j.opts)
+		})
+	case kindBatch:
+		defer q.rec.Span(fmt.Sprintf("exec-batch:%s[%d:%d]", name, lo, hi), worker)()
+		q.runChunk(j, lo, hi, worker)
+	case kindGradient:
+		defer q.rec.Span("exec-grad:"+name, worker)()
+		started := time.Now()
+		grads, rs, err := attempt(q, j, "exec-grad:"+name, worker, func() ([]GradResult, error) {
+			return q.exec.(GradientExecutor).ExecuteGradient(j.spec, j.bindings, j.opts)
+		})
+		if err != nil {
+			j.errs[0] = err.Error()
+			return
+		}
+		j.grads = grads
+		q.observeTimings(taskTimings(j.created, started, time.Now(), rs))
+	}
+}
+
+// attempt is one executor call under the full fault envelope: panic
+// isolation, deadline, and transient retry. Each attempt records an
+// "executor:" span on the worker's row (nesting under the work item's
+// "exec…:" span in the Chrome trace), and the returned RetryStats separate
+// backoff time from execution time in the Timings breakdown.
+func attempt[T any](q *QPM, j *job, what, worker string, call func() (T, error)) (T, faults.RetryStats, error) {
+	var out T
+	q.mu.Lock()
+	retry := q.retry
+	q.mu.Unlock()
+	rs, err := retry.DoStats(func(int) error {
+		finish := q.rec.Span("executor:"+j.spec.Name, worker)
+		defer finish()
+		var err error
+		out, err = guarded(j.deadline, what, call)
+		return err
+	})
+	if rs.Attempts > 1 {
+		q.mRetries.Add(int64(rs.Attempts - 1))
+	}
+	return out, rs, err
+}
+
+// runSlot fills slot g from one single-circuit execution under its own
+// retry envelope: the slot's Result on success, its error otherwise.
+func (q *QPM) runSlot(j *job, g int, what, worker string, call func() (ExecResult, error)) {
+	started := time.Now()
+	res, rs, err := attempt(q, j, what, worker, call)
+	if err != nil {
+		j.errs[g] = err.Error()
+		return
+	}
+	j.results[g] = q.result(j, g, res, started, time.Since(started), rs)
+}
+
+// runChunk executes bindings[lo:hi] of a batch on one QRC worker:
 // batch-native executors get the whole chunk in one call (rebinding into
 // their cached parse per element); plain executors fall back to bind →
 // serialize → Execute per element through the QPM's own parse cache.
-func (q *QPM) runBatchChunk(bt *batchTask, lo, hi int, worker string) {
-	bt.mu.Lock()
-	if bt.cancelled {
-		// The batch was deleted while this chunk sat in the queue: fail its
-		// elements without touching the backend.
-		for i := lo; i < hi; i++ {
-			bt.errs[i] = "cancelled"
-		}
-		bt.mu.Unlock()
-		q.finishChunk(bt)
-		return
-	}
-	if bt.status == StatusQueued {
-		bt.status = StatusRunning
-	}
-	bt.mu.Unlock()
-	started := time.Now()
-	finish := q.rec.Span(fmt.Sprintf("exec-batch:%s[%d:%d]", bt.spec.Name, lo, hi), worker)
-	defer func() {
-		finish()
-		q.finishChunk(bt)
-	}()
-	sub := bt.bindings[lo:hi]
+func (q *QPM) runChunk(j *job, lo, hi int, worker string) {
 	// Element seeds are globally indexed: the chunk base offset keeps seeds
 	// identical to a serial loop over the full batch.
-	chunkOpts := bt.opts.ForElement(lo)
-	if be, ok := q.exec.(BatchExecutor); ok {
-		execFinish := q.rec.Span("executor:"+bt.spec.Name, worker)
-		results, err := guarded(bt.deadline, fmt.Sprintf("exec-batch:%s[%d:%d]", bt.spec.Name, lo, hi), func() ([]ExecResult, error) {
-			return be.ExecuteBatch(bt.spec, sub, chunkOpts)
-		})
-		execFinish()
-		elapsed := time.Since(started)
-		if err == nil && len(results) != len(sub) {
-			err = fmt.Errorf("qpm[%s]: batch executor returned %d results for %d bindings", q.backend, len(results), len(sub))
-		}
+	chunkOpts := j.opts.ForElement(lo)
+	elemWhat := func(g int) string { return fmt.Sprintf("exec-batch:%s[%d]", j.spec.Name, g) }
+	be, native := q.exec.(BatchExecutor)
+	if !native {
+		base, err := q.cache.Get(j.spec)
 		if err != nil {
-			// A failing chunk degrades to element-isolated re-execution: each
-			// binding retries as its own single-element batch, so one bad
-			// element costs only itself instead of aborting every slot.
-			q.runElements(bt, be, lo, hi, worker)
+			for g := lo; g < hi; g++ {
+				j.errs[g] = err.Error()
+			}
 			return
 		}
+		for g := lo; g < hi; g++ {
+			spec, err := SpecFromCircuit(base.Bind(j.bindings[g]))
+			if err != nil {
+				j.errs[g] = err.Error()
+				continue
+			}
+			q.runSlot(j, g, elemWhat(g), worker, func() (ExecResult, error) {
+				return q.exec.Execute(spec, chunkOpts.ForElement(g-lo))
+			})
+		}
+		return
+	}
+	sub := j.bindings[lo:hi]
+	started := time.Now()
+	execFinish := q.rec.Span("executor:"+j.spec.Name, worker)
+	results, err := guarded(j.deadline, fmt.Sprintf("exec-batch:%s[%d:%d]", j.spec.Name, lo, hi), func() ([]ExecResult, error) {
+		return be.ExecuteBatch(j.spec, sub, chunkOpts)
+	})
+	execFinish()
+	elapsed := time.Since(started)
+	if err == nil && len(results) != len(sub) {
+		err = fmt.Errorf("qpm[%s]: batch executor returned %d results for %d bindings", q.backend, len(results), len(sub))
+	}
+	if err == nil {
 		perElem := elapsed / time.Duration(len(sub))
 		for i, res := range results {
-			bt.results[lo+i] = q.batchResult(bt, lo+i, res, started, perElem, faults.RetryStats{Attempts: 1})
+			j.results[lo+i] = q.result(j, lo+i, res, started, perElem, faults.RetryStats{Attempts: 1})
 		}
 		return
 	}
-	base, err := q.cache.Get(bt.spec)
-	if err != nil {
-		for i := range sub {
-			bt.errs[lo+i] = err.Error()
-		}
-		return
-	}
-	for i, b := range sub {
-		bound := base.Bind(b)
-		spec, err := SpecFromCircuit(bound)
-		if err != nil {
-			bt.errs[lo+i] = err.Error()
-			continue
-		}
-		elemStart := time.Now()
-		res, rs, err := q.execGuarded(spec, chunkOpts.ForElement(i), bt.deadline, fmt.Sprintf("exec-batch:%s[%d]", bt.spec.Name, lo+i), worker)
-		if err != nil {
-			bt.errs[lo+i] = err.Error()
-			continue
-		}
-		bt.results[lo+i] = q.batchResult(bt, lo+i, res, elemStart, time.Since(elemStart), rs)
-	}
-}
-
-// runElements is the degraded path after a batch-native chunk failure:
-// bindings[lo:hi] re-execute as single-element batches, each under its own
-// retry envelope. Seeds stay globally indexed (ForElement(g) here equals
-// base+lo+i on the whole-chunk path), so elements that recover produce
-// bit-identical results to a clean run; elements that keep failing record
-// only their own error.
-func (q *QPM) runElements(bt *batchTask, be BatchExecutor, lo, hi int, worker string) {
-	retry := q.retryPolicy()
+	// A failing chunk degrades to element-isolated re-execution: each
+	// binding retries as its own single-element batch, so one bad element
+	// costs only itself instead of aborting every slot. Seeds stay globally
+	// indexed (ForElement(g) here equals base+lo+i on the whole-chunk path),
+	// so elements that recover produce bit-identical results to a clean run;
+	// elements that keep failing record only their own error.
 	for g := lo; g < hi; g++ {
-		elemOpts := bt.opts.ForElement(g)
-		elemStart := time.Now()
-		var res ExecResult
-		rs, err := retry.DoStats(func(int) error {
-			finish := q.rec.Span("executor:"+bt.spec.Name, worker)
-			defer finish()
-			results, err := guarded(bt.deadline, fmt.Sprintf("exec-batch:%s[%d]", bt.spec.Name, g), func() ([]ExecResult, error) {
-				return be.ExecuteBatch(bt.spec, bt.bindings[g:g+1], elemOpts)
-			})
+		q.runSlot(j, g, elemWhat(g), worker, func() (ExecResult, error) {
+			one, err := be.ExecuteBatch(j.spec, j.bindings[g:g+1], j.opts.ForElement(g))
+			if err == nil && len(one) != 1 {
+				err = fmt.Errorf("qpm[%s]: batch executor returned %d results for 1 binding", q.backend, len(one))
+			}
 			if err != nil {
-				return err
+				return ExecResult{}, err
 			}
-			if len(results) != 1 {
-				return fmt.Errorf("qpm[%s]: batch executor returned %d results for 1 binding", q.backend, len(results))
-			}
-			res = results[0]
-			return nil
+			return one[0], nil
 		})
-		if rs.Attempts > 1 {
-			q.mRetries.Add(int64(rs.Attempts - 1))
-		}
-		if err != nil {
-			bt.errs[g] = err.Error()
-			continue
-		}
-		bt.results[g] = q.batchResult(bt, g, res, elemStart, time.Since(elemStart), rs)
 	}
 }
 
-// batchResult marshals one batch element's ExecResult into the unified
-// format. ExecMS for batch-native chunks is the chunk mean (elements share
-// one executor call); retry backoff is split out of it so TotalMS is the
-// exact sum of the reported components.
-func (q *QPM) batchResult(bt *batchTask, idx int, res ExecResult, started time.Time, exec time.Duration, rs faults.RetryStats) *Result {
-	tm := taskTimings(bt.created, started, started.Add(exec), rs)
+// result marshals one slot's ExecResult into the unified format and feeds
+// its timings to the histograms. ExecMS for batch-native chunks is the chunk
+// mean (elements share one executor call); retry backoff is split out of it
+// so TotalMS is the exact sum of the reported components.
+func (q *QPM) result(j *job, g int, res ExecResult, started time.Time, exec time.Duration, rs faults.RetryStats) *Result {
+	taskID := j.id
+	if j.kind == kindBatch {
+		taskID = fmt.Sprintf("%s#%d", j.id, g)
+	}
+	tm := taskTimings(j.created, started, started.Add(exec), rs)
 	q.observeTimings(tm)
 	return &Result{
-		TaskID:     fmt.Sprintf("%s#%d", bt.id, idx),
+		TaskID:     taskID,
 		Backend:    q.backend,
-		Subbackend: bt.opts.Subbackend,
+		Subbackend: j.opts.Subbackend,
 		Counts:     res.Counts,
 		ExpVal:     res.ExpVal,
 		TruncErr:   res.TruncErr,
@@ -711,171 +709,20 @@ func (q *QPM) batchResult(bt *batchTask, idx int, res ExecResult, started time.T
 	}
 }
 
-// SubmitGradient registers and enqueues one gradient batch. The backend
-// must implement GradientExecutor — callers probe Capabilities.Gradients
-// first; a submit against a non-differentiating backend fails immediately
-// rather than queueing doomed work.
-func (q *QPM) SubmitGradient(spec CircuitSpec, bindings []Bindings, opts RunOptions) (string, error) {
-	ge, ok := q.exec.(GradientExecutor)
-	if !ok {
-		return "", fmt.Errorf("qpm[%s]: backend does not support gradient execution", q.backend)
-	}
-	if spec.QASM == "" {
-		return "", fmt.Errorf("qpm[%s]: empty circuit spec", q.backend)
-	}
-	if len(bindings) == 0 {
-		return "", fmt.Errorf("qpm[%s]: empty gradient batch", q.backend)
-	}
-	id := fmt.Sprintf("%s-grad-%d", q.backend, q.nextID.Add(1))
-	created := time.Now()
-	gt := &gradTask{id: id, created: created, deadline: deadlineFor(created, opts), status: StatusQueued, done: make(chan struct{})}
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return "", fmt.Errorf("qpm[%s]: closed", q.backend)
-	}
-	if q.quiesced {
-		q.mu.Unlock()
-		return "", fmt.Errorf("qpm[%s]: %w", q.backend, ErrDraining)
-	}
-	q.grads[id] = gt
-	q.mu.Unlock()
-	err := q.enqueue(func(worker string) {
-		gt.mu.Lock()
-		if gt.cancelled {
-			gt.status = StatusFailed
-			gt.errMsg = "cancelled"
-			close(gt.done)
-			gt.mu.Unlock()
-			return
-		}
-		gt.status = StatusRunning
-		gt.mu.Unlock()
-		started := time.Now()
-		finish := q.rec.Span("exec-grad:"+spec.Name, worker)
-		var results []GradResult
-		rs, err := q.retryPolicy().DoStats(func(int) error {
-			attemptFinish := q.rec.Span("executor:"+spec.Name, worker)
-			defer attemptFinish()
-			var err error
-			results, err = guarded(gt.deadline, "exec-grad:"+spec.Name, func() ([]GradResult, error) {
-				return ge.ExecuteGradient(spec, bindings, opts)
-			})
-			return err
-		})
-		finish()
-		if rs.Attempts > 1 {
-			q.mRetries.Add(int64(rs.Attempts - 1))
-		}
-		gt.mu.Lock()
-		if err != nil {
-			gt.status = StatusFailed
-			gt.errMsg = err.Error()
-			q.mFails.Inc()
-		} else {
-			gt.status = StatusDone
-			gt.results = results
-			q.observeTimings(taskTimings(gt.created, started, time.Now(), rs))
-		}
-		close(gt.done)
-		gt.mu.Unlock()
-	})
+// await blocks until job id of the given kind completes. When ctx ends
+// first the wait returns ctx's error while the job keeps running (use
+// Delete on an expired deadline to reclaim the slot).
+func (q *QPM) await(ctx context.Context, id string, kind *jobKind) (*job, error) {
+	j, err := q.lookup(id, kind)
 	if err != nil {
-		gt.mu.Lock()
-		gt.status = StatusFailed
-		gt.errMsg = err.Error()
-		close(gt.done)
-		gt.mu.Unlock()
-	}
-	return id, nil
-}
-
-// WaitGradient blocks until the gradient batch completes and returns the
-// ordered per-binding results.
-func (q *QPM) WaitGradient(id string) ([]GradResult, error) {
-	return q.WaitGradientCtx(context.Background(), id)
-}
-
-// WaitGradientCtx is WaitGradient with caller-side cancellation: when ctx
-// ends first the wait returns ctx's error while the work item keeps
-// running (use Delete on an expired deadline to reclaim the slot).
-func (q *QPM) WaitGradientCtx(ctx context.Context, id string) ([]GradResult, error) {
-	q.mu.Lock()
-	gt, ok := q.grads[id]
-	q.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("qpm[%s]: unknown gradient task %s", q.backend, id)
+		return nil, err
 	}
 	select {
-	case <-gt.done:
+	case <-j.done:
+		return j, nil
 	case <-ctx.Done():
 		return nil, fmt.Errorf("qpm[%s]: wait %s: %w", q.backend, id, ctx.Err())
 	}
-	gt.mu.Lock()
-	defer gt.mu.Unlock()
-	if gt.status == StatusFailed {
-		return nil, fmt.Errorf("%s", gt.errMsg)
-	}
-	return gt.results, nil
-}
-
-func (q *QPM) finishChunk(bt *batchTask) {
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	bt.pending--
-	if bt.pending > 0 {
-		return
-	}
-	bt.status = StatusDone
-	var failed int64
-	for _, e := range bt.errs {
-		if e != "" {
-			failed++
-		}
-	}
-	if failed > 0 {
-		bt.status = StatusFailed
-		q.mFails.Add(failed)
-	}
-	close(bt.done)
-}
-
-// WaitBatch blocks until every element of the batch completes and returns
-// the ordered results plus per-element error strings ("" for success).
-func (q *QPM) WaitBatch(id string) ([]*Result, []string, error) {
-	return q.WaitBatchCtx(context.Background(), id)
-}
-
-// WaitBatchCtx is WaitBatch with caller-side cancellation.
-func (q *QPM) WaitBatchCtx(ctx context.Context, id string) ([]*Result, []string, error) {
-	bt, err := q.lookupBatch(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	select {
-	case <-bt.done:
-	case <-ctx.Done():
-		return nil, nil, fmt.Errorf("qpm[%s]: wait %s: %w", q.backend, id, ctx.Err())
-	}
-	return bt.results, bt.errs, nil
-}
-
-// Status returns the task (or batch / gradient batch) state.
-func (q *QPM) Status(id string) (Status, error) {
-	q.mu.Lock()
-	t, ok := q.tasks[id]
-	bt, bok := q.batches[id]
-	gt, gok := q.grads[id]
-	q.mu.Unlock()
-	switch {
-	case ok:
-		return t.snapshotStatus(), nil
-	case bok:
-		return bt.snapshotStatus(), nil
-	case gok:
-		return gt.snapshotStatus(), nil
-	}
-	return "", fmt.Errorf("qpm[%s]: unknown task %s", q.backend, id)
 }
 
 // Wait blocks until the task completes and returns its result.
@@ -885,21 +732,42 @@ func (q *QPM) Wait(id string) (*Result, error) {
 
 // WaitCtx is Wait with caller-side cancellation.
 func (q *QPM) WaitCtx(ctx context.Context, id string) (*Result, error) {
-	t, err := q.lookup(id)
+	j, err := q.await(ctx, id, kindSingle)
 	if err != nil {
 		return nil, err
 	}
-	select {
-	case <-t.done:
-	case <-ctx.Done():
-		return nil, fmt.Errorf("qpm[%s]: wait %s: %w", q.backend, id, ctx.Err())
+	return j.results[0], j.failure()
+}
+
+// WaitBatch blocks until every element of the batch completes and returns
+// the ordered results plus per-element error strings ("" for success).
+func (q *QPM) WaitBatch(id string) ([]*Result, []string, error) {
+	j, err := q.await(context.Background(), id, kindBatch)
+	if err != nil {
+		return nil, nil, err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.status == StatusFailed {
-		return nil, fmt.Errorf("%s", t.errMsg)
+	return j.results, j.errs, nil
+}
+
+// WaitGradient blocks until the gradient batch completes and returns the
+// ordered per-binding results.
+func (q *QPM) WaitGradient(id string) ([]GradResult, error) {
+	j, err := q.await(context.Background(), id, kindGradient)
+	if err != nil {
+		return nil, err
 	}
-	return t.result, nil
+	return j.grads, j.failure()
+}
+
+// Status returns the state of a job of any kind.
+func (q *QPM) Status(id string) (Status, error) {
+	q.mu.Lock()
+	j, ok := q.jobs[id]
+	q.mu.Unlock()
+	if !ok {
+		return "", fmt.Errorf("qpm[%s]: unknown task %s", q.backend, id)
+	}
+	return j.snapshotStatus(), nil
 }
 
 // deadlinePassed reports whether a work item's deadline exists and has
@@ -910,106 +778,59 @@ func deadlinePassed(deadline time.Time) bool {
 	return !deadline.IsZero() && !time.Now().Before(deadline)
 }
 
-// Delete removes a completed (or never-run) task or batch. Deleting a
-// queued item cancels it: its work items still pass through the QRC queue
-// but are dropped at the worker instead of executing. Running items refuse
+// Delete removes a completed (or never-run) job of any kind. Deleting a
+// queued job cancels it: its work items still pass through the QRC queue
+// but are dropped at the worker instead of executing. Running jobs refuse
 // deletion — the execution cannot be recalled from the backend — unless
 // their deadline has already passed, in which case the executor has been
-// abandoned and the entry would otherwise sit orphaned in the task table.
+// abandoned and the entry would otherwise sit orphaned in the job table.
 func (q *QPM) Delete(id string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if t, ok := q.tasks[id]; ok {
-		t.mu.Lock()
-		if t.status == StatusRunning && !deadlinePassed(t.deadline) {
-			t.mu.Unlock()
-			return fmt.Errorf("qpm[%s]: task %s is running", q.backend, id)
-		}
-		if t.status == StatusQueued || t.status == StatusRunning {
-			t.cancelled = true
-		}
-		t.mu.Unlock()
-		delete(q.tasks, id)
-		return nil
+	j, ok := q.jobs[id]
+	if !ok {
+		return fmt.Errorf("qpm[%s]: unknown task %s", q.backend, id)
 	}
-	if bt, ok := q.batches[id]; ok {
-		bt.mu.Lock()
-		if bt.status == StatusRunning && !deadlinePassed(bt.deadline) {
-			bt.mu.Unlock()
-			return fmt.Errorf("qpm[%s]: batch %s is running", q.backend, id)
-		}
-		if bt.status == StatusQueued || bt.status == StatusRunning {
-			bt.cancelled = true
-		}
-		bt.mu.Unlock()
-		delete(q.batches, id)
-		return nil
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.status == StatusRunning && !deadlinePassed(j.deadline) {
+		return fmt.Errorf("qpm[%s]: %s %s is running", q.backend, j.kind.noun, id)
 	}
-	if gt, ok := q.grads[id]; ok {
-		gt.mu.Lock()
-		if gt.status == StatusRunning && !deadlinePassed(gt.deadline) {
-			gt.mu.Unlock()
-			return fmt.Errorf("qpm[%s]: gradient batch %s is running", q.backend, id)
-		}
-		if gt.status == StatusQueued || gt.status == StatusRunning {
-			gt.cancelled = true
-		}
-		gt.mu.Unlock()
-		delete(q.grads, id)
-		return nil
-	}
-	return fmt.Errorf("qpm[%s]: unknown task %s", q.backend, id)
+	j.cancelled = j.status == StatusQueued || j.status == StatusRunning
+	delete(q.jobs, id)
+	return nil
 }
 
-// List returns all task and batch IDs with their states.
+// List returns every job ID with its state.
 func (q *QPM) List() map[string]Status {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := make(map[string]Status, len(q.tasks)+len(q.batches)+len(q.grads))
-	for id, t := range q.tasks {
-		out[id] = t.snapshotStatus()
-	}
-	for id, bt := range q.batches {
-		out[id] = bt.snapshotStatus()
-	}
-	for id, gt := range q.grads {
-		out[id] = gt.snapshotStatus()
+	out := make(map[string]Status, len(q.jobs))
+	for id, j := range q.jobs {
+		out[id] = j.snapshotStatus()
 	}
 	return out
 }
 
-func (q *QPM) lookup(id string) (*task, error) {
+// lookup finds a job by id and kind; an id of another kind is as unknown
+// to the caller as one that was never issued.
+func (q *QPM) lookup(id string, kind *jobKind) (*job, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	t, ok := q.tasks[id]
-	if !ok {
-		return nil, fmt.Errorf("qpm[%s]: unknown task %s", q.backend, id)
+	j, ok := q.jobs[id]
+	if !ok || j.kind != kind {
+		return nil, fmt.Errorf("qpm[%s]: unknown %s %s", q.backend, kind.noun, id)
 	}
-	return t, nil
-}
-
-func (q *QPM) lookupBatch(id string) (*batchTask, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	bt, ok := q.batches[id]
-	if !ok {
-		return nil, fmt.Errorf("qpm[%s]: unknown batch %s", q.backend, id)
-	}
-	return bt, nil
+	return j, nil
 }
 
 // ---- DEFw RPC surface -------------------------------------------------
 
-// submitReq is the payload of "create"/"submit" calls.
+// submitReq is the payload of every method that carries work: one spec,
+// the options, and for the batch and gradient methods K bindings.
 type submitReq struct {
-	Spec CircuitSpec `json:"spec"`
-	Opts RunOptions  `json:"opts"`
-}
-
-// batchSubmitReq is the payload of "submit_batch": one spec, K bindings.
-type batchSubmitReq struct {
 	Spec     CircuitSpec `json:"spec"`
-	Bindings []Bindings  `json:"bindings"`
+	Bindings []Bindings  `json:"bindings,omitempty"`
 	Opts     RunOptions  `json:"opts"`
 }
 
@@ -1034,142 +855,55 @@ type statusMsg struct {
 	Status Status `json:"status"`
 }
 
-// Handle implements defw.Handler, exposing the QPM API over RPC: the
-// blocking one-round-trip exec, exec_batch and exec_grad (which reap their
-// task server-side), and the asynchronous create, run, submit, submit_batch,
-// submit_grad, status, wait, wait_batch, wait_grad, delete, list,
-// capabilities.
+// rpcMethods builds the RPC method table, one typed entry per method over
+// the defw JSON codec: the blocking one-round-trip exec* methods (which
+// reap their job server-side), the asynchronous lifecycle, and the table
+// and capability queries.
+func (q *QPM) rpcMethods() map[string]func(payload []byte) ([]byte, error) {
+	who := fmt.Sprintf("qpm[%s]", q.backend)
+	issued := func(id string, err error) (idMsg, error) { return idMsg{ID: id}, err }
+	batchResp := func(results []*Result, errs []string, err error) (batchWaitResp, error) {
+		return batchWaitResp{Results: results, Errs: errs}, err
+	}
+	gradResp := func(results []GradResult, err error) (gradWaitResp, error) {
+		return gradWaitResp{Results: results}, err
+	}
+	return map[string]func([]byte) ([]byte, error){
+		"exec": defw.HandleJSON(who, func(r submitReq) (*Result, error) { return q.Exec(r.Spec, r.Opts) }),
+		"exec_batch": defw.HandleJSON(who, func(r submitReq) (batchWaitResp, error) {
+			return batchResp(q.ExecBatch(r.Spec, r.Bindings, r.Opts))
+		}),
+		"exec_grad": defw.HandleJSON(who, func(r submitReq) (gradWaitResp, error) {
+			return gradResp(q.ExecGradient(r.Spec, r.Bindings, r.Opts))
+		}),
+		"create": defw.HandleJSON(who, func(r submitReq) (idMsg, error) { return issued(q.Create(r.Spec, r.Opts)) }),
+		"submit": defw.HandleJSON(who, func(r submitReq) (idMsg, error) { return issued(q.Submit(r.Spec, r.Opts)) }),
+		"submit_batch": defw.HandleJSON(who, func(r submitReq) (idMsg, error) {
+			return issued(q.SubmitBatch(r.Spec, r.Bindings, r.Opts))
+		}),
+		"submit_grad": defw.HandleJSON(who, func(r submitReq) (idMsg, error) {
+			return issued(q.SubmitGradient(r.Spec, r.Bindings, r.Opts))
+		}),
+		"run": defw.HandleJSON(who, func(r idMsg) (struct{}, error) { return struct{}{}, q.Run(r.ID) }),
+		"status": defw.HandleJSON(who, func(r idMsg) (statusMsg, error) {
+			st, err := q.Status(r.ID)
+			return statusMsg{ID: r.ID, Status: st}, err
+		}),
+		"wait":         defw.HandleJSON(who, func(r idMsg) (*Result, error) { return q.Wait(r.ID) }),
+		"wait_batch":   defw.HandleJSON(who, func(r idMsg) (batchWaitResp, error) { return batchResp(q.WaitBatch(r.ID)) }),
+		"wait_grad":    defw.HandleJSON(who, func(r idMsg) (gradWaitResp, error) { return gradResp(q.WaitGradient(r.ID)) }),
+		"delete":       defw.HandleJSON(who, func(r idMsg) (struct{}, error) { return struct{}{}, q.Delete(r.ID) }),
+		"list":         defw.HandleJSON(who, func(struct{}) (map[string]Status, error) { return q.List(), nil }),
+		"capabilities": defw.HandleJSON(who, func(struct{}) (Capabilities, error) { return q.Capabilities(), nil }),
+	}
+}
+
+// Handle implements defw.Handler, exposing the QPM API over RPC: it
+// dispatches through the method table rpcMethods built.
 func (q *QPM) Handle(method string, payload []byte) ([]byte, error) {
-	switch method {
-	case "exec":
-		var req submitReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, fmt.Errorf("qpm[%s]: bad payload: %w", q.backend, err)
-		}
-		res, err := q.Exec(req.Spec, req.Opts)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(res)
-	case "exec_batch":
-		var req batchSubmitReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, fmt.Errorf("qpm[%s]: bad payload: %w", q.backend, err)
-		}
-		results, errs, err := q.ExecBatch(req.Spec, req.Bindings, req.Opts)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(batchWaitResp{Results: results, Errs: errs})
-	case "exec_grad":
-		var req batchSubmitReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, fmt.Errorf("qpm[%s]: bad payload: %w", q.backend, err)
-		}
-		results, err := q.ExecGradient(req.Spec, req.Bindings, req.Opts)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(gradWaitResp{Results: results})
-	case "create", "submit":
-		var req submitReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, fmt.Errorf("qpm[%s]: bad payload: %w", q.backend, err)
-		}
-		var id string
-		var err error
-		if method == "create" {
-			id, err = q.Create(req.Spec, req.Opts)
-		} else {
-			id, err = q.Submit(req.Spec, req.Opts)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(idMsg{ID: id})
-	case "submit_batch":
-		var req batchSubmitReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, fmt.Errorf("qpm[%s]: bad payload: %w", q.backend, err)
-		}
-		id, err := q.SubmitBatch(req.Spec, req.Bindings, req.Opts)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(idMsg{ID: id})
-	case "wait_batch":
-		var req idMsg
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		results, errs, err := q.WaitBatch(req.ID)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(batchWaitResp{Results: results, Errs: errs})
-	case "submit_grad":
-		var req batchSubmitReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, fmt.Errorf("qpm[%s]: bad payload: %w", q.backend, err)
-		}
-		id, err := q.SubmitGradient(req.Spec, req.Bindings, req.Opts)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(idMsg{ID: id})
-	case "wait_grad":
-		var req idMsg
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		results, err := q.WaitGradient(req.ID)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(gradWaitResp{Results: results})
-	case "run":
-		var req idMsg
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := q.Run(req.ID); err != nil {
-			return nil, err
-		}
-		return json.Marshal(struct{}{})
-	case "status":
-		var req idMsg
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		st, err := q.Status(req.ID)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(statusMsg{ID: req.ID, Status: st})
-	case "wait":
-		var req idMsg
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		res, err := q.Wait(req.ID)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(res)
-	case "delete":
-		var req idMsg
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := q.Delete(req.ID); err != nil {
-			return nil, err
-		}
-		return json.Marshal(struct{}{})
-	case "list":
-		return json.Marshal(q.List())
-	case "capabilities":
-		return json.Marshal(q.exec.Capabilities())
-	default:
+	h, ok := q.methods[method]
+	if !ok {
 		return nil, fmt.Errorf("qpm[%s]: unknown method %q", q.backend, method)
 	}
+	return h(payload)
 }

@@ -393,3 +393,24 @@ func CallJSON(c *Client, service, method string, req, resp any) error {
 	}
 	return json.Unmarshal(out, resp)
 }
+
+// HandleJSON is the server-side twin of CallJSON: it adapts a typed method
+// to the raw-payload shape a Handler dispatches to — unmarshal the payload
+// into a Req, call fn, marshal its Resp. who names the service in the one
+// decode error every method then shares ("<who>: bad payload: …"). An empty
+// payload is the zero Req: methods without arguments are called with none.
+func HandleJSON[Req, Resp any](who string, fn func(Req) (Resp, error)) func(payload []byte) ([]byte, error) {
+	return func(payload []byte) ([]byte, error) {
+		var req Req
+		if len(payload) > 0 {
+			if err := json.Unmarshal(payload, &req); err != nil {
+				return nil, fmt.Errorf("%s: bad payload: %w", who, err)
+			}
+		}
+		resp, err := fn(req)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(resp)
+	}
+}

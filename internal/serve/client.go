@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"qfw/internal/core"
@@ -50,17 +49,9 @@ func (c *Client) RunBatch(spec core.CircuitSpec, bindings []core.Bindings, opts 
 
 func (c *Client) exec(spec core.CircuitSpec, bindings []core.Bindings, opts core.RunOptions) ([]*core.Result, []string, ExecInfo, error) {
 	req := ExecReq{Tenant: c.tenant, Spec: spec, Bindings: bindings, Opts: opts}
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, nil, ExecInfo{}, err
-	}
-	raw, err := c.rpc.Call(c.service, "exec", payload)
-	if err != nil {
-		return nil, nil, ExecInfo{}, err
-	}
 	var resp ExecResp
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return nil, nil, ExecInfo{}, fmt.Errorf("serve client: bad reply: %w", err)
+	if err := defw.CallJSON(c.rpc, c.service, "exec", req, &resp); err != nil {
+		return nil, nil, ExecInfo{}, err
 	}
 	if resp.Errs == nil {
 		resp.Errs = make([]string, len(resp.Results))
@@ -70,24 +61,13 @@ func (c *Client) exec(spec core.CircuitSpec, bindings []core.Bindings, opts core
 
 // Stats fetches the serving layer's counters.
 func (c *Client) Stats() (Stats, error) {
-	raw, err := c.rpc.Call(c.service, "stats", []byte("{}"))
-	if err != nil {
-		return Stats{}, err
-	}
 	var st Stats
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return Stats{}, fmt.Errorf("serve client: bad stats reply: %w", err)
-	}
-	return st, nil
+	err := defw.CallJSON(c.rpc, c.service, "stats", nil, &st)
+	return st, err
 }
 
 // SetTenant configures a tenant's fair-share weight and quota on the
 // server (an admin operation; any connection may issue it).
 func (c *Client) SetTenant(name string, weight, quota int) error {
-	payload, err := json.Marshal(tenantReq{Name: name, Weight: weight, Quota: quota})
-	if err != nil {
-		return err
-	}
-	_, err = c.rpc.Call(c.service, "set_tenant", payload)
-	return err
+	return defw.CallJSON(c.rpc, c.service, "set_tenant", tenantReq{Name: name, Weight: weight, Quota: quota}, nil)
 }

@@ -21,7 +21,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -31,6 +30,7 @@ import (
 	"time"
 
 	"qfw/internal/core"
+	"qfw/internal/defw"
 	"qfw/internal/trace"
 )
 
@@ -882,33 +882,28 @@ type tenantReq struct {
 	Quota  int    `json:"quota,omitempty"`
 }
 
-// Handle implements defw.Handler: exec, stats, set_tenant. Each request
-// carries its tenant token, so one connection can serve many sessions.
+// Handle implements defw.Handler over the same JSON codec as the QPM. Each
+// request carries its tenant token, so one connection can serve many
+// sessions.
 func (s *Server) Handle(method string, payload []byte) ([]byte, error) {
+	who := "serve[" + s.backend + "]"
 	switch method {
 	case "exec":
-		var req ExecReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, fmt.Errorf("serve[%s]: bad payload: %w", s.backend, err)
-		}
-		results, errs, info, err := s.Exec(req.Tenant, req.Spec, req.Bindings, req.Opts)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(ExecResp{Results: results, Errs: errs, Info: info})
+		return defw.HandleJSON(who, func(r ExecReq) (ExecResp, error) {
+			results, errs, info, err := s.Exec(r.Tenant, r.Spec, r.Bindings, r.Opts)
+			return ExecResp{Results: results, Errs: errs, Info: info}, err
+		})(payload)
 	case "stats":
-		return json.Marshal(s.Stats())
+		return defw.HandleJSON(who, func(struct{}) (Stats, error) { return s.Stats(), nil })(payload)
 	case "set_tenant":
-		var req tenantReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, fmt.Errorf("serve[%s]: bad payload: %w", s.backend, err)
-		}
-		if req.Name == "" {
-			return nil, fmt.Errorf("serve[%s]: tenant name required", s.backend)
-		}
-		s.SetTenant(req.Name, req.Weight, req.Quota)
-		return json.Marshal(struct{}{})
+		return defw.HandleJSON(who, func(r tenantReq) (struct{}, error) {
+			if r.Name == "" {
+				return struct{}{}, fmt.Errorf("%s: tenant name required", who)
+			}
+			s.SetTenant(r.Name, r.Weight, r.Quota)
+			return struct{}{}, nil
+		})(payload)
 	default:
-		return nil, fmt.Errorf("serve[%s]: unknown method %q", s.backend, method)
+		return nil, fmt.Errorf("%s: unknown method %q", who, method)
 	}
 }

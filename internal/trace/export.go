@@ -7,6 +7,8 @@ import (
 	"io"
 	"sort"
 	"strconv"
+
+	"qfw/internal/defw"
 )
 
 // ---- Prometheus text exposition ---------------------------------------
@@ -197,27 +199,28 @@ type metricsResp struct {
 	Text string `json:"text"`
 }
 
-// Handle implements the defw handler contract: "metrics" returns the
-// Prometheus text exposition, "trace" the Chrome trace-event JSON, and
-// "stats" the span-ring accounting.
+// Handle implements defw.Handler over the shared JSON codec: "metrics"
+// returns the Prometheus text exposition, "trace" the Chrome trace-event
+// JSON, and "stats" the span-ring accounting.
 func (s *Service) Handle(method string, payload []byte) ([]byte, error) {
+	const who = "telemetry"
 	switch method {
 	case "metrics":
-		var buf bytes.Buffer
-		if err := s.Rec.Metrics().WritePrometheus(&buf); err != nil {
-			return nil, err
-		}
-		return json.Marshal(metricsResp{Text: buf.String()})
+		return defw.HandleJSON(who, func(struct{}) (metricsResp, error) {
+			var buf bytes.Buffer
+			err := s.Rec.Metrics().WritePrometheus(&buf)
+			return metricsResp{Text: buf.String()}, err
+		})(payload)
 	case "trace":
-		var buf bytes.Buffer
-		if err := s.Rec.WriteChromeTrace(&buf); err != nil {
-			return nil, err
-		}
-		return bytes.TrimSpace(buf.Bytes()), nil
+		return defw.HandleJSON(who, func(struct{}) (json.RawMessage, error) {
+			var buf bytes.Buffer
+			err := s.Rec.WriteChromeTrace(&buf)
+			return buf.Bytes(), err
+		})(payload)
 	case "stats":
-		return json.Marshal(s.Rec.Stats())
+		return defw.HandleJSON(who, func(struct{}) (RecorderStats, error) { return s.Rec.Stats(), nil })(payload)
 	default:
-		return nil, fmt.Errorf("telemetry: unknown method %q", method)
+		return nil, fmt.Errorf("%s: unknown method %q", who, method)
 	}
 }
 
