@@ -61,8 +61,8 @@ func parseSpec(spec core.CircuitSpec) (*circuit.Circuit, error) {
 // simulator backends: the spec is parsed — and its gate-fusion plan built —
 // once through the backend's cache, then every element rebinds into the
 // cached circuit and runs, so a batch of K evaluations pays the QASM parse
-// and fusion-planning cost once per ansatz, not K times. Above the tuner's
-// qubit threshold the cache-blocked tile schedule is compiled once per
+// and fusion-planning cost once per ansatz, not K times. Above the MinQubits
+// threshold the cache-blocked tile schedule is compiled once per
 // ansatz too (GetStaged) and handed to every element; a nil schedule means
 // the per-op fused path. The QPM hands batch-native executors the whole
 // batch, so the elements run here on a core-bounded worker pool (the

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
 )
@@ -197,9 +198,11 @@ func TestGradAblationAdjointWins(t *testing.T) {
 
 func TestDistAblationFewerBytes(t *testing.T) {
 	// The acceptance check of the fused distributed engine: on both QAOA
-	// p=2 and TFIM, the staged engine must exchange fewer modelled bytes
-	// than the per-gate baseline at every P > 1. Byte counts come from the
-	// deterministic mpi payload model, so this holds on any machine.
+	// p=2 and TFIM, the staged engine must exchange fewer modelled bytes at
+	// every P > 1 than one shard exchange per rank for every gate touching
+	// a rank-encoded qubit — the closed form of a per-gate distributed
+	// engine. Byte counts come from the deterministic mpi payload model, so
+	// this holds on any machine.
 	h := quickHarness(t)
 	h.Repeats = 1
 	h.Shots = 64
@@ -207,34 +210,41 @@ func TestDistAblationFewerBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(exp.Series) != 6 {
-		t.Fatalf("series %d, want 6 (fused/per-gate/single for two workloads)", len(exp.Series))
+	if len(exp.Series) != 4 {
+		t.Fatalf("series %d, want 4 (fused/single for two workloads)", len(exp.Series))
 	}
+	const n = 10 // RunDistAblation's circuit width
 	for _, kind := range []string{"qaoa", "tfim"} {
 		fused := SeriesByLabel(exp, kind+" fused-dist")
-		perGate := SeriesByLabel(exp, kind+" per-gate-dist")
-		if fused == nil || perGate == nil {
-			t.Fatalf("missing series for %s", kind)
+		single := SeriesByLabel(exp, kind+" single-rank fused")
+		if fused == nil || single == nil || len(fused.Points) != len(single.Points) {
+			t.Fatalf("missing or ragged series for %s", kind)
 		}
-		for i, fp := range fused.Points {
-			gp := perGate.Points[i]
-			if fp.X != gp.X {
-				t.Fatalf("%s point mismatch: P=%d vs P=%d", kind, fp.X, gp.X)
-			}
+		c, err := h.ablationWorkload(kind, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fp := range fused.Points {
 			if fp.X == 1 {
 				if fp.Bytes != 0 {
 					t.Fatalf("%s P=1 fused exchanged %d bytes, want 0", kind, fp.Bytes)
 				}
 				continue
 			}
-			if fp.Bytes >= gp.Bytes {
-				t.Fatalf("%s P=%d: fused %d bytes not below per-gate %d", kind, fp.X, fp.Bytes, gp.Bytes)
+			nLocal := n - bits.TrailingZeros(uint(fp.X))
+			globalGates := 0
+			for _, g := range c.Gates {
+				for _, q := range g.Qubits {
+					if q >= nLocal {
+						globalGates++
+						break
+					}
+				}
 			}
-		}
-	}
-	for _, kind := range []string{"qaoa", "tfim"} {
-		if !strings.Contains(exp.Notes, kind+": fused stages exchange") {
-			t.Fatalf("notes missing %s byte summary: %s", kind, exp.Notes)
+			perGate := int64(globalGates) * (16 << nLocal) * int64(fp.X)
+			if fp.Bytes <= 0 || fp.Bytes >= perGate {
+				t.Fatalf("%s P=%d: fused %d bytes not below the per-gate closed form %d", kind, fp.X, fp.Bytes, perGate)
+			}
 		}
 	}
 }

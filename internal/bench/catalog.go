@@ -135,7 +135,7 @@ var AblationCatalog = []AblationSpec{
 	{
 		Name:     "distributed-fusion",
 		Ps:       []int{1, 2, 4, 8},
-		Describe: "QAOA p=2 / TFIM over P ranks: fused stage engine (remap exchanges) vs per-gate shard exchanges vs single-rank fused, bytes counted by the mpi payload model",
+		Describe: "QAOA p=2 / TFIM over P ranks: fused stage engine (remap exchanges) vs single-rank fused, bytes counted by the mpi payload model",
 	},
 	{
 		Name:     "gradient-methods",

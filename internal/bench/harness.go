@@ -563,7 +563,7 @@ func (h *Harness) ablationDeepWorkload(kind string, n, depth int) (*circuit.Circ
 // (statevec.RunStaged: tile-resident stages, SoA amplitude layout, SIMD
 // kernels, fused boundary gathers), through the per-op fused program
 // (statevec.RunProgram — the engine the staged path replaces above the
-// tuner threshold), and through the per-gate seed kernels
+// MinQubits threshold), and through the per-gate seed kernels
 // (statevec.RunCircuit). Strictly single-core: GOMAXPROCS and kernel
 // workers are pinned to 1 for the duration, so the numbers isolate memory
 // locality, not parallel speedup. Blocked and fused repetitions are
@@ -695,12 +695,10 @@ func (h *Harness) RunKernelAblation() (*Experiment, error) {
 // RunDistAblation measures the distributed-fusion ablation of the catalog:
 // the same bound QAOA p=2 and TFIM circuits executed over P ranks through
 // the fused stage engine (statevec.RunDistributed: staged fused kernels,
-// bit-permutation remap exchanges, rank-local diagonal layers) and through
-// the per-gate baseline (statevec.RunDistributedPerGate: one whole-shard
-// Sendrecv per global-qubit gate), with a single-rank fused series as the
-// no-communication reference. Both distributed paths run identical circuits
-// and seeds; the Bytes column is the modelled cross-rank wire volume from
-// the mpi payload model, which is deterministic per configuration.
+// bit-permutation remap exchanges, rank-local diagonal layers), with a
+// single-rank fused series as the no-communication reference. The Bytes
+// column is the modelled cross-rank wire volume from the mpi payload model,
+// which is deterministic per configuration.
 func (h *Harness) RunDistAblation() (*Experiment, error) {
 	var spec AblationSpec
 	for _, ab := range AblationCatalog {
@@ -710,7 +708,7 @@ func (h *Harness) RunDistAblation() (*Experiment, error) {
 	}
 	exp := &Experiment{
 		ID:    "ablation-dist",
-		Title: "Fused-stage vs per-gate distributed execution (" + spec.Describe + ")",
+		Title: "Fused-stage distributed execution (" + spec.Describe + ")",
 		Notes: "X axis is the rank count P; every series runs the identical circuit and seed.",
 	}
 	shots := h.Shots
@@ -718,37 +716,12 @@ func (h *Harness) RunDistAblation() (*Experiment, error) {
 		shots = 256
 	}
 	const n = 10
-	type distRunner func(comm *mpi.Comm, c *circuit.Circuit) error
-	fusedRun := func(comm *mpi.Comm, c *circuit.Circuit) error {
-		_, err := statevec.RunDistributed(comm, c, shots, h.Seed)
-		return err
-	}
-	perGateRun := func(comm *mpi.Comm, c *circuit.Circuit) error {
-		_, err := statevec.RunDistributedPerGate(comm, c, shots, h.Seed)
-		return err
-	}
-	measure := func(c *circuit.Circuit, p int, run distRunner) (Point, error) {
-		var bytes int64
-		mean, std, err := h.timedRun(BackendSel{}, func() (*core.Result, error) {
-			w := mpi.NewWorld(p)
-			if err := w.Run(func(comm *mpi.Comm) error { return run(comm, c) }); err != nil {
-				return nil, err
-			}
-			bytes = w.BytesSent()
-			return nil, nil
-		})
-		if err != nil {
-			return Point{}, err
-		}
-		return Point{X: p, Placement: fmt.Sprintf("P=%d", p), RuntimeMS: mean, StdMS: std, Bytes: bytes}, nil
-	}
 	for _, kind := range []string{"qaoa", "tfim"} {
 		c, err := h.ablationWorkload(kind, n)
 		if err != nil {
 			return nil, err
 		}
 		fused := Series{Label: kind + " fused-dist"}
-		perGate := Series{Label: kind + " per-gate-dist"}
 		single := Series{Label: kind + " single-rank fused"}
 		// The no-communication reference is independent of P: time it once
 		// and repeat the point across the axis.
@@ -762,27 +735,24 @@ func (h *Harness) RunDistAblation() (*Experiment, error) {
 		if err != nil {
 			return nil, err
 		}
-		var fusedBytes, gateBytes int64
 		for _, p := range spec.Ps {
-			fp, err := measure(c, p, fusedRun)
+			var bytes int64
+			mean, std, err := h.timedRun(BackendSel{}, func() (*core.Result, error) {
+				w := mpi.NewWorld(p)
+				err := w.Run(func(comm *mpi.Comm) error {
+					_, err := statevec.RunDistributed(comm, c, shots, h.Seed)
+					return err
+				})
+				bytes = w.BytesSent()
+				return nil, err
+			})
 			if err != nil {
 				return nil, err
 			}
-			gp, err := measure(c, p, perGateRun)
-			if err != nil {
-				return nil, err
-			}
-			fusedBytes += fp.Bytes
-			gateBytes += gp.Bytes
-			fused.Points = append(fused.Points, fp)
-			perGate.Points = append(perGate.Points, gp)
+			fused.Points = append(fused.Points, Point{X: p, Placement: fmt.Sprintf("P=%d", p), RuntimeMS: mean, StdMS: std, Bytes: bytes})
 			single.Points = append(single.Points, Point{X: p, Placement: "P=1", RuntimeMS: sm, StdMS: ss})
 		}
-		if fusedBytes > 0 {
-			exp.Notes += fmt.Sprintf(" %s: fused stages exchange %.1fx fewer bytes than per-gate.",
-				kind, float64(gateBytes)/float64(fusedBytes))
-		}
-		exp.Series = append(exp.Series, fused, perGate, single)
+		exp.Series = append(exp.Series, fused, single)
 	}
 	return exp, nil
 }

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"qfw/internal/cost"
@@ -17,12 +16,12 @@ import (
 // automated workload-driven backend selection. Routing is driven by the
 // calibrated cost model (internal/cost): per-circuit structural features are
 // extracted once per spec hash from the cached fusion plan, every registered
-// engine is sized (kernel workers from the autotuner, shard counts for the
-// distributed path, bond caps from the entanglement bound) and scored on its
-// fitted cost curve, and the argmin wins. Clifford circuits short-circuit to
-// the stabilizer engine — polynomial simulation beats every dense engine at
-// any size worth routing. When no calibration is available (QFW_COST=off)
-// the pre-model structural rules apply:
+// engine is sized (kernel workers from statevec.CurrentTuning, shard counts
+// for the distributed path, bond caps from the entanglement bound) and scored
+// on its fitted cost curve, and the argmin wins. Clifford circuits
+// short-circuit to the stabilizer engine — polynomial simulation beats every
+// dense engine at any size worth routing. When no calibration is available
+// (QFW_COST=off) the pre-model structural rules apply:
 //
 //   - Clifford-only circuits      → aer/stabilizer,
 //   - nearest-neighbour circuits  → aer/matrix_product_state,
@@ -31,9 +30,8 @@ import (
 //   - everything else             → nwqsim/mpi.
 //
 // Both paths consult only the backends actually registered, so the selector
-// works on sessions launched with a backend subset. Batched submissions may
-// additionally be split across the top two engines when the model predicts
-// the split finishes earlier than any single target.
+// works on sessions launched with a backend subset. A batch is routed once,
+// from its shared spec, and runs whole on the chosen engine.
 type AutoExecutor struct {
 	execs    map[string]Executor
 	cache    *ParseCache
@@ -115,27 +113,17 @@ func (a *AutoExecutor) Capabilities() Capabilities {
 }
 
 // Decision is one routing verdict: the chosen engine, the sized resources,
-// the predicted per-element cost (0 without calibration), and — for batches
-// — an optional heterogeneous split across a secondary engine.
+// and the predicted per-element cost (0 without calibration).
 type Decision struct {
 	Backend     string
 	Sub         string
-	Rule        string // "cost-model", "cost-split", or a structural rule name
+	Rule        string // "clifford", "cost-model", "fallback", or a structural rule name
 	Res         cost.Resources
 	PredictedMS float64
-
-	SplitBackend     string
-	SplitSub         string
-	SplitRes         cost.Resources
-	SplitPredictedMS float64
-	SplitFrac        float64 // fraction of elements on the primary engine
 }
 
 // route renders the annotation string of the decision.
 func (d Decision) route() string {
-	if d.SplitBackend != "" {
-		return fmt.Sprintf("%s/%s+%s/%s (%s)", d.Backend, d.Sub, d.SplitBackend, d.SplitSub, d.Rule)
-	}
 	return strings.TrimSpace(fmt.Sprintf("%s/%s (%s)", d.Backend, d.Sub, d.Rule))
 }
 
@@ -147,105 +135,72 @@ var candidateSubs = map[string][]string{
 	"tnqvm":   {"exatn-mps"},
 }
 
-// decide selects the route for a k-element submission. The cost model path
-// ranks sized candidates by predicted runtime; without a model (or when the
-// model offers no candidate for this session's backends) the structural
-// rules decide.
-func (a *AutoExecutor) decide(spec CircuitSpec, k int) (Decision, error) {
-	if a.model == nil {
-		return a.selectStructural(spec)
-	}
-	f, err := a.cache.GetFeatures(spec)
-	if err != nil {
-		return Decision{}, err
-	}
-	// Clifford circuits short-circuit: the tableau engine is polynomial
-	// where everything else is exponential, and exact.
-	if f.Clifford {
-		if _, ok := a.execs["aer"]; ok {
-			d := Decision{Backend: "aer", Sub: "stabilizer", Rule: "clifford"}
-			if ms, ok := a.model.PredictMS(cost.AerStab, f, cost.Resources{}); ok {
-				d.PredictedMS = ms
+// ranked returns the routing decisions for a submission in preference
+// order. The primary comes from the cost model — Clifford circuits
+// short-circuit to the tableau engine, everything else takes the argmin of
+// the sized candidates — or, without a model (or when the model offers no
+// candidate for this session's backends), from the structural rules. With
+// fallbacks the list continues with the remaining model candidates in rank
+// order, then every remaining registered local engine in sorted order, so a
+// session without calibration still has somewhere to degrade to.
+func (a *AutoExecutor) ranked(spec CircuitSpec, fallbacks bool) ([]Decision, error) {
+	var out []Decision
+	add := func(engine, rule string, res cost.Resources, ms float64) {
+		backend, sub, _ := strings.Cut(engine, "/")
+		for _, d := range out {
+			if d.Backend == backend && d.Sub == sub {
+				return
 			}
-			return d, nil
 		}
-	}
-	var engines []string
-	for name := range a.execs {
-		for _, sub := range candidateSubs[name] {
-			engines = append(engines, name+"/"+sub)
+		if len(out) > 0 {
+			rule = "fallback"
 		}
+		out = append(out, Decision{Backend: backend, Sub: sub, Rule: rule, Res: res, PredictedMS: ms})
 	}
-	sort.Strings(engines)
-	env := cost.Env{Workers: statevec.CurrentTuning().Workers, Cores: runtime.GOMAXPROCS(0), MemBytes: a.memBytes}
-	cands := a.model.Rank(f, engines, env)
-	if len(cands) == 0 {
-		return a.selectStructural(spec)
-	}
-	best := cands[0]
-	backend, sub, _ := strings.Cut(best.Engine, "/")
-	d := Decision{Backend: backend, Sub: sub, Rule: "cost-model", Res: best.Res, PredictedMS: best.MS()}
-	if plan := a.model.PlanSplit(cands, k); plan != nil {
-		sb, ss, _ := strings.Cut(plan.B.Engine, "/")
-		d.Rule = "cost-split"
-		d.SplitBackend, d.SplitSub = sb, ss
-		d.SplitRes = plan.B.Res
-		d.SplitPredictedMS = plan.B.MS()
-		d.SplitFrac = plan.FracA
-	}
-	return d, nil
-}
-
-// decideRanked returns the primary routing decision followed by the
-// ordered fallback candidates (empty tail when fallback is off). Model
-// alternates come from the cost ranking; structural alternates — every
-// registered local engine in sorted order — close the list so a session
-// without calibration still has somewhere to degrade to.
-func (a *AutoExecutor) decideRanked(spec CircuitSpec, k int) ([]Decision, error) {
-	primary, err := a.decide(spec, k)
-	if err != nil {
-		return nil, err
-	}
-	out := []Decision{primary}
-	if !a.fallback {
-		return out, nil
-	}
-	seen := map[string]bool{primary.Backend + "/" + primary.Sub: true}
-	add := func(backend, sub string, res cost.Resources, ms float64) {
-		key := backend + "/" + sub
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		out = append(out, Decision{Backend: backend, Sub: sub, Rule: "fallback", Res: res, PredictedMS: ms})
-	}
+	var f *cost.Features
 	if a.model != nil {
-		if f, ferr := a.cache.GetFeatures(spec); ferr == nil {
-			var engines []string
-			for name := range a.execs {
-				for _, sub := range candidateSubs[name] {
-					engines = append(engines, name+"/"+sub)
-				}
-			}
-			sort.Strings(engines)
-			env := cost.Env{Workers: statevec.CurrentTuning().Workers, Cores: runtime.GOMAXPROCS(0), MemBytes: a.memBytes}
-			for _, c := range a.model.Rank(f, engines, env) {
-				backend, sub, _ := strings.Cut(c.Engine, "/")
-				add(backend, sub, c.Res, c.MS())
+		var err error
+		if f, err = a.cache.GetFeatures(spec); err != nil {
+			return nil, err
+		}
+		// Clifford circuits short-circuit: the tableau engine is polynomial
+		// where everything else is exponential, and exact.
+		if _, ok := a.execs["aer"]; ok && f.Clifford {
+			ms, _ := a.model.PredictMS(cost.AerStab, f, cost.Resources{})
+			add(cost.AerStab, "clifford", cost.Resources{}, ms)
+			if !fallbacks {
+				return out, nil
 			}
 		}
 	}
-	var names []string
+	var names, engines []string
 	for name := range a.execs {
-		if name != "ionq" {
-			names = append(names, name)
-		}
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
 		for _, sub := range candidateSubs[name] {
-			add(name, sub, cost.Resources{}, 0)
+			engines = append(engines, name+"/"+sub)
 		}
+	}
+	if f != nil {
+		env := cost.Env{Workers: statevec.CurrentTuning().Workers, Cores: runtime.GOMAXPROCS(0), MemBytes: a.memBytes}
+		for _, c := range a.model.Rank(f, engines, env) {
+			add(c.Engine, "cost-model", c.Res, c.MS())
+		}
+	}
+	if len(out) == 0 {
+		d, err := a.selectStructural(spec)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, d)
+	}
+	if !fallbacks {
+		return out[:1], nil
+	}
+	for _, e := range engines {
+		add(e, "fallback", cost.Resources{}, 0)
 	}
 	return out, nil
 }
@@ -305,7 +260,7 @@ func applyResources(backend, sub string, res cost.Resources, opts *RunOptions) {
 }
 
 // annotate stamps the routing metadata on a result.
-func annotate(res *ExecResult, route string, predictedMS, actualMS float64, split bool) {
+func annotate(res *ExecResult, route string, predictedMS, actualMS float64) {
 	if res.Extra == nil {
 		res.Extra = map[string]float64{}
 	}
@@ -316,9 +271,6 @@ func annotate(res *ExecResult, route string, predictedMS, actualMS float64, spli
 	if actualMS > 0 {
 		res.Extra["auto_actual_ms"] = actualMS
 	}
-	if split {
-		res.Extra["auto_split"] = 1
-	}
 	res.Route = route
 }
 
@@ -328,7 +280,7 @@ func annotate(res *ExecResult, route string, predictedMS, actualMS float64, spli
 // submission; the first (primary) error is what callers see if every
 // candidate fails.
 func (a *AutoExecutor) Execute(spec CircuitSpec, opts RunOptions) (ExecResult, error) {
-	cands, err := a.decideRanked(spec, 1)
+	cands, err := a.ranked(spec, a.fallback)
 	if err != nil {
 		return ExecResult{}, err
 	}
@@ -357,123 +309,49 @@ func (a *AutoExecutor) Execute(spec CircuitSpec, opts RunOptions) (ExecResult, e
 		if ci > 0 {
 			route = fmt.Sprintf("fallback:%s/%s (after %s/%s)", d.Backend, d.Sub, cands[0].Backend, cands[0].Sub)
 		}
-		annotate(&res, route, d.PredictedMS, float64(time.Since(start))/float64(time.Millisecond), false)
+		annotate(&res, route, d.PredictedMS, float64(time.Since(start))/float64(time.Millisecond))
 		return res, nil
 	}
 	return ExecResult{}, firstErr
 }
 
 // ExecuteBatch implements BatchExecutor: the route is decided once per batch
-// from the shared spec. A homogeneous batch is delegated whole — natively
-// when the target supports batches, otherwise by rebinding each element
-// through the selector's parse cache. When the model predicts a
-// heterogeneous split beats any single engine, the head of the batch runs on
-// the primary and the tail concurrently on the secondary, with the tail's
-// base seed offset so every element keeps the exact seed it would have had
-// unsplit.
+// from the shared spec and the batch is delegated whole — natively when the
+// target supports batches, otherwise by rebinding each element through the
+// selector's parse cache — with the same fallback order as Execute.
 func (a *AutoExecutor) ExecuteBatch(spec CircuitSpec, bindings []Bindings, opts RunOptions) ([]ExecResult, error) {
-	cands, err := a.decideRanked(spec, len(bindings))
+	cands, err := a.ranked(spec, a.fallback)
 	if err != nil {
 		return nil, err
 	}
-	if d := cands[0]; d.SplitBackend != "" {
-		if results, err := a.executeSplit(d, spec, bindings, opts); err == nil {
-			return results, nil
-		}
-		// A failed split (e.g. the secondary engine rejects the circuit)
-		// falls back to the primary engine whole rather than failing the
-		// submission.
-	}
 	var firstErr error
 	for ci, d := range cands {
-		rule := singleRule(d)
-		results, err := a.delegateBatch(d.Backend, d.Sub, d.Res, spec, bindings, opts, 0)
+		results, err := a.delegateBatch(d, spec, bindings, opts)
 		if err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("auto[%s->%s/%s]: %w", rule, d.Backend, d.Sub, err)
+				firstErr = fmt.Errorf("auto[%s->%s/%s]: %w", d.Rule, d.Backend, d.Sub, err)
 			}
 			continue
 		}
-		route := fmt.Sprintf("%s/%s (%s)", d.Backend, d.Sub, rule)
+		route := d.route()
 		if ci > 0 {
 			route = fmt.Sprintf("fallback:%s/%s (after %s/%s)", d.Backend, d.Sub, cands[0].Backend, cands[0].Sub)
 		}
 		for i := range results {
-			annotate(&results[i], route, d.PredictedMS, 0, false)
+			annotate(&results[i], route, d.PredictedMS, 0)
 		}
 		return results, nil
 	}
 	return nil, firstErr
 }
 
-// singleRule is the rule label when a split decision degrades to a whole-
-// batch delegation.
-func singleRule(d Decision) string {
-	if d.Rule == "cost-split" {
-		return "cost-model"
-	}
-	return d.Rule
-}
-
-// executeSplit runs the head of the batch on the primary engine and the
-// tail on the secondary, concurrently, reassembling results in order.
-func (a *AutoExecutor) executeSplit(d Decision, spec CircuitSpec, bindings []Bindings, opts RunOptions) ([]ExecResult, error) {
-	k := len(bindings)
-	nA := int(math.Round(d.SplitFrac * float64(k)))
-	if nA < 1 {
-		nA = 1
-	}
-	if nA > k-1 {
-		nA = k - 1
-	}
-	var (
-		wg         sync.WaitGroup
-		resA, resB []ExecResult
-		errA, errB error
-	)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		resA, errA = a.delegateBatch(d.Backend, d.Sub, d.Res, spec, bindings[:nA], opts, 0)
-	}()
-	go func() {
-		defer wg.Done()
-		resB, errB = a.delegateBatch(d.SplitBackend, d.SplitSub, d.SplitRes, spec, bindings[nA:], opts, nA)
-	}()
-	wg.Wait()
-	if errA != nil {
-		return nil, fmt.Errorf("auto[cost-split->%s/%s]: %w", d.Backend, d.Sub, errA)
-	}
-	if errB != nil {
-		return nil, fmt.Errorf("auto[cost-split->%s/%s]: %w", d.SplitBackend, d.SplitSub, errB)
-	}
-	results := append(resA, resB...)
-	route := d.route()
-	for i := range results {
-		pred := d.PredictedMS
-		if i >= nA {
-			pred = d.SplitPredictedMS
-		}
-		annotate(&results[i], route, pred, 0, true)
-	}
-	return results, nil
-}
-
-// delegateBatch runs a (sub-)batch on one engine. seedOffset shifts the base
-// seed so a split tail reproduces exactly the per-element seeds
-// (RunOptions.ForElement) it would have received in the unsplit batch.
-func (a *AutoExecutor) delegateBatch(backend, sub string, res cost.Resources, spec CircuitSpec, bindings []Bindings, opts RunOptions, seedOffset int) ([]ExecResult, error) {
-	target, ok := a.execs[backend]
+// delegateBatch runs a batch on one decision's engine.
+func (a *AutoExecutor) delegateBatch(d Decision, spec CircuitSpec, bindings []Bindings, opts RunOptions) ([]ExecResult, error) {
+	target, ok := a.execs[d.Backend]
 	if !ok {
-		return nil, fmt.Errorf("auto: selected backend %q not available", backend)
+		return nil, fmt.Errorf("auto: selected backend %q not available", d.Backend)
 	}
-	applyResources(backend, sub, res, &opts)
-	if seedOffset > 0 {
-		if opts.Seed == 0 {
-			opts.Seed = 1 // ForElement's implicit base
-		}
-		opts.Seed += int64(seedOffset)
-	}
+	applyResources(d.Backend, d.Sub, d.Res, &opts)
 	if be, ok := target.(BatchExecutor); ok {
 		return be.ExecuteBatch(spec, bindings, opts)
 	}
@@ -616,17 +494,19 @@ func (a *AutoExecutor) ExecuteGradient(spec CircuitSpec, bindings []Bindings, op
 	return nil, firstErr
 }
 
-// Decide exposes the full routing decision for a k-element submission
-// (tests, tooling, the bench route table).
+// Decide exposes the primary routing decision (tests, tooling, the bench
+// route table). A batch routes exactly like a single submission, so k does
+// not enter the decision; the parameter stays for the callers that pass it.
 func (a *AutoExecutor) Decide(spec CircuitSpec, k int) (Decision, error) {
-	if k < 1 {
-		k = 1
+	ds, err := a.ranked(spec, false)
+	if err != nil {
+		return Decision{}, err
 	}
-	return a.decide(spec, k)
+	return ds[0], nil
 }
 
 // RouteFor exposes the selection decision for inspection (tests, tooling).
 func (a *AutoExecutor) RouteFor(spec CircuitSpec) (backend, sub, rule string, err error) {
-	d, err := a.decide(spec, 1)
+	d, err := a.Decide(spec, 1)
 	return d.Backend, d.Sub, d.Rule, err
 }

@@ -174,8 +174,8 @@ type capExec struct {
 
 func (c *capExec) Capabilities() Capabilities { return c.caps }
 
-// fakeBatchExec records each sub-batch it receives (element count and base
-// seed) so split tests can assert how the selector divided the work.
+// fakeBatchExec records each batch it receives (element count and base
+// seed) so tests can assert how the selector delegated the work.
 type fakeBatchExec struct {
 	fakeExec
 	mu      sync.Mutex
@@ -235,11 +235,11 @@ func TestAutoCapabilitiesUnion(t *testing.T) {
 }
 
 // evenCal builds a calibration where the two dense engines are exactly as
-// fast, so a batch split always wins under the default penalty.
+// fast, so the ranking falls to the engine-key tie-break.
 func evenCal() *cost.Calibration {
 	cv := cost.Curve{Base: 1, Slope: 1, Knee: 10, Slope2: 1}
 	return &cost.Calibration{
-		Version: 1, Source: "test", SplitPenalty: 1.5,
+		Version: 1, Source: "test",
 		Curves: map[string]cost.Curve{
 			cost.AerSV:     cv,
 			cost.NWQOpenMP: cv,
@@ -258,65 +258,58 @@ func denseSpec(t *testing.T) CircuitSpec {
 	return routeSpec(t, c)
 }
 
-func TestAutoSplitsBatchAcrossEngines(t *testing.T) {
-	aer := &fakeBatchExec{fakeExec: fakeExec{name: "aer"}}
-	nwq := &fakeBatchExec{fakeExec: fakeExec{name: "nwqsim"}}
-	a := NewAutoExecutor(map[string]Executor{"aer": aer, "nwqsim": nwq}).
-		WithModel(cost.NewModel(evenCal()))
-	spec := denseSpec(t)
-	bindings := make([]Bindings, 8)
-	results, err := a.ExecuteBatch(spec, bindings, RunOptions{Shots: 1, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 8 {
-		t.Fatalf("got %d results", len(results))
-	}
-	if len(aer.batches) != 1 || len(nwq.batches) != 1 {
-		t.Fatalf("batch counts aer=%v nwqsim=%v", aer.batches, nwq.batches)
-	}
-	if aer.batches[0]+nwq.batches[0] != 8 || aer.batches[0] == 0 || nwq.batches[0] == 0 {
-		t.Fatalf("split sizes aer=%d nwqsim=%d", aer.batches[0], nwq.batches[0])
-	}
-	// The tail's base seed is offset by the head size, so every element
-	// keeps the seed it would have had unsplit (ForElement semantics).
-	var head, tailSeed int64
-	if aer.seeds[0] == 7 {
-		head, tailSeed = int64(aer.batches[0]), nwq.seeds[0]
-	} else {
-		head, tailSeed = int64(nwq.batches[0]), aer.seeds[0]
-	}
-	if tailSeed != 7+head {
-		t.Fatalf("tail seed %d, want %d", tailSeed, 7+head)
-	}
-	for _, r := range results {
-		if r.Extra["auto_split"] != 1 {
-			t.Fatalf("missing split annotation: %v", r.Extra)
-		}
-		if !strings.Contains(r.Route, "+") || !strings.Contains(r.Route, "cost-split") {
-			t.Fatalf("route %q", r.Route)
-		}
-		if r.Extra["auto_predicted_ms"] <= 0 {
-			t.Fatalf("missing prediction: %v", r.Extra)
-		}
-	}
+// seedExec is a non-batch fake that records the seed of every element.
+type seedExec struct {
+	fakeExec
+	seeds []int64
+}
+
+func (f *seedExec) Execute(spec CircuitSpec, opts RunOptions) (ExecResult, error) {
+	f.seeds = append(f.seeds, opts.Seed)
+	return f.fakeExec.Execute(spec, opts)
 }
 
 func TestAutoBatchKeepsSingleEngineWhenSmall(t *testing.T) {
-	// K<4 never splits: the contention penalty cannot amortize.
-	aer := &fakeBatchExec{fakeExec: fakeExec{name: "aer"}}
-	nwq := &fakeBatchExec{fakeExec: fakeExec{name: "nwqsim"}}
-	a := NewAutoExecutor(map[string]Executor{"aer": aer, "nwqsim": nwq}).
-		WithModel(cost.NewModel(evenCal()))
-	results, err := a.ExecuteBatch(denseSpec(t), make([]Bindings, 2), RunOptions{Shots: 1})
-	if err != nil {
+	// A batch of any size runs whole on the one engine the ranking picks,
+	// even when the runner-up is exactly as fast.
+	for _, k := range []int{2, 8} {
+		aer := &fakeBatchExec{fakeExec: fakeExec{name: "aer"}}
+		nwq := &fakeBatchExec{fakeExec: fakeExec{name: "nwqsim"}}
+		a := NewAutoExecutor(map[string]Executor{"aer": aer, "nwqsim": nwq}).
+			WithModel(cost.NewModel(evenCal()))
+		results, err := a.ExecuteBatch(denseSpec(t), make([]Bindings, k), RunOptions{Shots: 1, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != k {
+			t.Fatalf("K=%d: got %d results", k, len(results))
+		}
+		// A batch-native engine gets the caller's base seed untouched and
+		// derives ForElement(i) itself.
+		if len(aer.batches) != 1 || aer.batches[0] != k || aer.seeds[0] != 7 || len(nwq.batches) != 0 {
+			t.Fatalf("K=%d: batches aer=%v (seeds %v) nwqsim=%v, want the whole batch on aer with seed 7", k, aer.batches, aer.seeds, nwq.batches)
+		}
+		for _, r := range results {
+			if r.Route != "aer/statevector (cost-model)" || r.Extra["auto_predicted_ms"] <= 0 || len(r.Extra) != 2 {
+				t.Fatalf("K=%d: route %q extra %v", k, r.Route, r.Extra)
+			}
+		}
+	}
+	// An engine without native batching runs element i under ForElement(i)
+	// of the caller's seed.
+	aer := &seedExec{fakeExec: fakeExec{name: "aer"}}
+	a := NewAutoExecutor(map[string]Executor{"aer": aer}).WithModel(cost.NewModel(evenCal()))
+	opts := RunOptions{Shots: 1, Seed: 7}
+	if _, err := a.ExecuteBatch(denseSpec(t), make([]Bindings, 8), opts); err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results", len(results))
+	for i, got := range aer.seeds {
+		if want := opts.ForElement(i).Seed; got != want {
+			t.Fatalf("element %d ran under seed %d, want %d", i, got, want)
+		}
 	}
-	if len(aer.batches)+len(nwq.batches) != 1 {
-		t.Fatalf("small batch was split: aer=%v nwqsim=%v", aer.batches, nwq.batches)
+	if len(aer.seeds) != 8 {
+		t.Fatalf("ran %d elements, want 8", len(aer.seeds))
 	}
 }
 

@@ -1,44 +1,25 @@
 package cost
 
-// Calibration resolution mirrors the staged-engine autotuner
-// (internal/statevec/tune.go): the fitted curves are a machine property, so
-// they are resolved once per process and cached per machine signature.
-// Resolution order:
+// The process-wide cost model is the embedded seed calibration (seed.go)
+// unless QFW_COST overrides it:
 //
-//  1. QFW_COST environment override:
-//     "off"            — disable the cost model (structural routing rules),
-//     "deterministic"  — the embedded seed calibration, no disk, no probe,
-//     <path>           — load a fitted calibration file (qfwbench -exp fit-cost).
-//  2. Under `go test`: the embedded seed, so routing decisions never depend
-//     on machine speed or write outside the build sandbox.
-//  3. The on-disk cache (os.UserCacheDir()/qfw/cost.json), if its machine
-//     signature matches.
-//  4. A once-per-machine speed probe: one fused statevector workload is
-//     timed and the seed curves are shifted by the measured log2 offset —
-//     relative engine constants come from the fitted seed, the absolute
-//     scale from the machine. Persisted best-effort beside tune.json.
+//	"off"            — disable the cost model (structural routing rules),
+//	"deterministic"  — the embedded seed, spelled out,
+//	<path>           — load a fitted calibration file (qfwbench -exp fit-cost).
 //
-// Inspect with CachePath(); delete the file to re-probe.
+// A path that cannot be loaded is reported once on stderr and the seed
+// applies.
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"math"
-	"math/rand"
 	"os"
-	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"time"
-
-	"qfw/internal/circuit"
-	"qfw/internal/statevec"
 )
-
-// The embedded seed calibration lives in seed.go.
 
 var (
 	curOnce sync.Once
@@ -48,97 +29,27 @@ var (
 // Current resolves (once per process) the process-wide cost model. It is
 // nil only when QFW_COST=off — callers fall back to structural routing.
 func Current() *Model {
-	curOnce.Do(func() { curVal = NewModel(resolve()) })
+	curOnce.Do(func() { curVal = NewModel(resolve(os.Stderr)) })
 	return curVal
 }
 
-func resolve() *Calibration {
-	if env := strings.TrimSpace(os.Getenv("QFW_COST")); env != "" {
-		switch strings.ToLower(env) {
-		case "off":
-			return nil
-		case "deterministic":
-			return Seed()
-		}
-		if cal, err := Load(env); err == nil {
-			cal.Source = "env"
-			return cal
-		}
-		// A bad override falls back to normal resolution rather than
-		// failing every run.
+// resolve applies QFW_COST over the seed; warn receives the one line
+// reporting an unloadable path.
+func resolve(warn io.Writer) *Calibration {
+	env := strings.TrimSpace(os.Getenv("QFW_COST"))
+	switch strings.ToLower(env) {
+	case "", "deterministic":
+		return Seed()
+	case "off":
+		return nil
 	}
-	if underGoTest() {
+	cal, err := Load(env)
+	if err != nil {
+		fmt.Fprintf(warn, "qfw: QFW_COST=%q is not off, deterministic or a loadable calibration (%v); using the embedded seed\n", env, err)
 		return Seed()
 	}
-	if cal, ok := loadCache(); ok {
-		return cal
-	}
-	cal := probe(Seed())
-	saveCache(cal)
+	cal.Source = "env"
 	return cal
-}
-
-func underGoTest() bool {
-	if flag.Lookup("test.v") != nil {
-		return true
-	}
-	exe := os.Args[0]
-	return strings.HasSuffix(exe, ".test") || strings.HasSuffix(exe, ".test.exe")
-}
-
-func machineSignature() string {
-	return fmt.Sprintf("%s-%s-cpu%d-v1", runtime.GOOS, runtime.GOARCH, runtime.NumCPU())
-}
-
-type cacheFile struct {
-	Signature   string       `json:"signature"`
-	Calibration *Calibration `json:"calibration"`
-}
-
-// CachePath returns the on-disk location of the per-machine calibration.
-func CachePath() (string, error) {
-	dir, err := os.UserCacheDir()
-	if err != nil {
-		return "", err
-	}
-	return filepath.Join(dir, "qfw", "cost.json"), nil
-}
-
-func loadCache() (*Calibration, bool) {
-	path, err := CachePath()
-	if err != nil {
-		return nil, false
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	var cf cacheFile
-	if json.Unmarshal(data, &cf) != nil || cf.Signature != machineSignature() ||
-		cf.Calibration == nil || len(cf.Calibration.Curves) == 0 {
-		return nil, false
-	}
-	return cf.Calibration, true
-}
-
-// saveCache persists best-effort: an unwritable cache dir never fails a run.
-func saveCache(cal *Calibration) {
-	path, err := CachePath()
-	if err != nil {
-		return
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return
-	}
-	data, err := json.MarshalIndent(cacheFile{Signature: machineSignature(), Calibration: cal}, "", "  ")
-	if err != nil {
-		return
-	}
-	tmp := path + ".tmp"
-	if os.WriteFile(tmp, data, 0o644) != nil {
-		return
-	}
-	_ = os.Rename(tmp, path)
 }
 
 // Load reads a calibration file written by Save or `qfwbench -exp fit-cost`.
@@ -166,60 +77,6 @@ func Save(path string, cal *Calibration) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// probe times one fused statevector workload and shifts every seed curve by
-// the measured log2 offset against the seed's own prediction: one number —
-// this machine's speed relative to the fitting machine — recalibrates the
-// whole family without re-running the bench suite.
-func probe(seed *Calibration) *Calibration {
-	const n, depth = 18, 4
-	c := probeWorkload(n, depth)
-	f := Extract(c, nil)
-	workers := statevec.CurrentTuning().Workers
-	best := math.Inf(1)
-	for rep := 0; rep < 3; rep++ {
-		start := time.Now()
-		s, _ := statevec.RunFused(c, nil, workers, rand.New(rand.NewSource(1)))
-		el := float64(time.Since(start)) / float64(time.Millisecond)
-		s.Release()
-		if rep == 0 {
-			continue // cold-heap warmup
-		}
-		if el < best {
-			best = el
-		}
-	}
-	m := NewModel(seed)
-	pred, ok := m.Predict(AerSV, f, Resources{Workers: workers})
-	if !ok || !(best > 0) || math.IsInf(best, 1) {
-		return seed
-	}
-	delta := math.Log2(best) - pred
-	out := &Calibration{
-		Version:      seed.Version,
-		Source:       "probe",
-		SplitPenalty: seed.SplitPenalty,
-		Curves:       make(map[string]Curve, len(seed.Curves)),
-	}
-	for k, cv := range seed.Curves {
-		cv.Base += delta
-		out.Curves[k] = cv
-	}
-	return out
-}
-
-func probeWorkload(n, depth int) *circuit.Circuit {
-	c := circuit.New(n)
-	for d := 0; d < depth; d++ {
-		for q := 0; q < n; q++ {
-			c.RZZ(q, (q+1)%n, circuit.Bound(0.3))
-		}
-		for q := 0; q < n; q++ {
-			c.RX(q, circuit.Bound(0.7))
-		}
-	}
-	return c
-}
-
 // Sample is one fitting observation: an engine ran a circuit with the given
 // features and resources in MS milliseconds.
 type Sample struct {
@@ -235,12 +92,9 @@ type Sample struct {
 // samples support a knee), engines with exactly one get the base curve
 // shifted through the sample, and engines with none keep the base curve.
 func Fit(samples []Sample, base *Calibration) *Calibration {
-	out := &Calibration{Version: 1, Source: "fit", SplitPenalty: 1.5, Curves: map[string]Curve{}}
+	out := &Calibration{Version: 1, Source: "fit", Curves: map[string]Curve{}}
 	if base != nil {
 		out.Version = base.Version
-		if base.SplitPenalty > 0 {
-			out.SplitPenalty = base.SplitPenalty
-		}
 		for k, cv := range base.Curves {
 			out.Curves[k] = cv
 		}

@@ -1,9 +1,13 @@
 package cost
 
 import (
+	"bytes"
+	"io"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"qfw/internal/circuit"
@@ -123,18 +127,40 @@ func TestSeedCalibrationEmbedded(t *testing.T) {
 			t.Fatalf("seed missing curve %s", key)
 		}
 	}
-	if s.SplitPenalty <= 1 {
-		t.Fatalf("split penalty %g", s.SplitPenalty)
-	}
 }
 
+// TestCurrentIsDeterministicUnderGoTest pins QFW_COST resolution: no
+// variable means the embedded seed, "deterministic" spells the same value,
+// an unloadable path falls back to the seed with exactly one line on the
+// warning stream, and nothing is ever read from or written to the user cache
+// directory.
 func TestCurrentIsDeterministicUnderGoTest(t *testing.T) {
-	m := Current()
-	if m == nil {
-		t.Skip("QFW_COST=off")
+	cache := t.TempDir()
+	t.Setenv("XDG_CACHE_HOME", cache)
+	for _, env := range []string{"", "deterministic"} {
+		t.Setenv("QFW_COST", env)
+		var warn bytes.Buffer
+		if cal := resolve(&warn); cal != Seed() || warn.Len() != 0 {
+			t.Fatalf("QFW_COST=%q resolved to %+v (warning %q), want the seed silently", env, cal, warn.String())
+		}
 	}
-	if src := m.Calibration().Source; src != "seed" && src != "env" {
-		t.Fatalf("under go test the calibration came from %q", src)
+	t.Setenv("QFW_COST", "off")
+	if cal := resolve(io.Discard); cal != nil {
+		t.Fatalf("QFW_COST=off resolved to %+v, want no model", cal)
+	}
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	t.Setenv("QFW_COST", missing)
+	var warn bytes.Buffer
+	if cal := resolve(&warn); cal != Seed() {
+		t.Fatalf("unreadable QFW_COST resolved to %+v, want the seed", cal)
+	}
+	msg := warn.String()
+	if strings.Count(msg, "\n") != 1 || !strings.HasSuffix(msg, "\n") ||
+		!strings.Contains(msg, "QFW_COST") || !strings.Contains(msg, missing) || !strings.Contains(msg, "embedded seed") {
+		t.Fatalf("unreadable QFW_COST warning should be one line naming the variable, the value and the seed, got %q", msg)
+	}
+	if left, err := os.ReadDir(cache); err != nil || len(left) != 0 {
+		t.Fatalf("cost resolution touched the user cache dir: %v (err %v)", left, err)
 	}
 }
 
@@ -169,26 +195,6 @@ func TestRankPrefersMPSForChainAndWithdrawsOnVolumeLaw(t *testing.T) {
 	}
 }
 
-func TestPlanSplit(t *testing.T) {
-	m := NewModel(Seed())
-	a := Candidate{Engine: AerSV, Log2MS: 3}
-	b := Candidate{Engine: NWQOpenMP, Log2MS: 3}
-	plan := m.PlanSplit([]Candidate{a, b}, 8)
-	if plan == nil {
-		t.Fatal("even candidates did not split")
-	}
-	if math.Abs(plan.FracA-0.5) > 1e-9 {
-		t.Fatalf("even split fraction %g", plan.FracA)
-	}
-	// gamma=1.5 needs cB < 2*cA: a 4x slower secondary never splits.
-	if p := m.PlanSplit([]Candidate{a, {Engine: NWQOpenMP, Log2MS: 5}}, 8); p != nil {
-		t.Fatalf("lopsided candidates split: %+v", p)
-	}
-	if p := m.PlanSplit([]Candidate{a, b}, 2); p != nil {
-		t.Fatal("tiny batch split")
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cost.json")
@@ -204,5 +210,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file loaded")
+	}
+	// Calibration files written before the batch split was removed carry a
+	// "split_penalty" key; encoding/json ignores it, so they keep loading.
+	old := filepath.Join(dir, "old_fit.json")
+	if err := os.WriteFile(old, []byte(`{"version":1,"source":"fit","split_penalty":1.5,"curves":{"aer/statevector":{"base":1,"slope":1,"knee":10,"slope2":1,"pts":3}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if cal, err := Load(old); err != nil || len(cal.Curves) != 1 {
+		t.Fatalf("calibration with a legacy split_penalty key: %+v, %v", cal, err)
 	}
 }

@@ -52,14 +52,11 @@ func (cv Curve) Eval(w float64) float64 {
 	return cv.Base + s*(w-cv.Knee)
 }
 
-// Calibration is the persisted cost model: one curve per engine key plus the
-// batch-split contention penalty. Shape mirrors internal/statevec/tune.json
-// (signature-keyed machine cache, best-effort persistence).
+// Calibration is the persisted cost model: one curve per engine key.
 type Calibration struct {
-	Version      int              `json:"version"`
-	Source       string           `json:"source"` // "seed", "fit", "probe", "env"
-	SplitPenalty float64          `json:"split_penalty"`
-	Curves       map[string]Curve `json:"curves"`
+	Version int              `json:"version"`
+	Source  string           `json:"source"` // "seed", "fit", "env"
+	Curves  map[string]Curve `json:"curves"`
 }
 
 // Model ranks candidate routes under a calibration.
@@ -159,7 +156,7 @@ func (m *Model) PredictMS(key string, f *Features, r Resources) (float64, bool) 
 	return math.Exp2(l), true
 }
 
-// Env carries the machine context candidate sizing draws on: the tuned
+// Env carries the machine context candidate sizing draws on: the
 // kernel worker count (statevec.CurrentTuning().Workers), the scheduler's
 // usable core count, and the dense-amplitude memory budget (0 = unbounded).
 // Candidates that cannot physically run under the budget are withdrawn
@@ -192,7 +189,7 @@ func (c Candidate) MS() float64 { return math.Exp2(c.Log2MS) }
 
 // Rank sizes and scores every offered engine key and returns the candidates
 // sorted by predicted cost (ties broken by key for determinism). Sizing per
-// family: dense engines take the tuned kernel worker count; the distributed
+// family: dense engines take the kernel worker count; the distributed
 // path additionally searches shard counts; the MPS engines take the smallest
 // power-of-two bond cap that the estimated peak bond proves lossless, so a
 // provably low-entanglement circuit never pays for headroom it cannot use.
@@ -282,43 +279,5 @@ func sizings(key string, f *Features, env Env) []Resources {
 		return []Resources{{Workers: env.Workers}}
 	default:
 		return []Resources{{}}
-	}
-}
-
-// SplitPlan is a heterogeneous batch split: the head nA elements go to the
-// primary candidate, the tail to the secondary, chosen so both finish
-// together under the calibrated contention penalty.
-type SplitPlan struct {
-	A, B     Candidate
-	FracA    float64
-	Log2Wall float64
-}
-
-// PlanSplit decides whether splitting a K-element batch across the top two
-// candidates beats the best single engine. With per-element costs cA <= cB,
-// running fractions in inverse proportion finishes in K*cA*cB/(cA+cB) wall
-// time, inflated by the calibrated contention penalty gamma (two engines
-// sharing one machine); the split wins only when that still undercuts K*cA.
-// Candidates must come from Rank (sorted); nil means run the batch whole.
-func (m *Model) PlanSplit(cands []Candidate, k int) *SplitPlan {
-	if k < 4 || len(cands) < 2 {
-		return nil
-	}
-	gamma := m.cal.SplitPenalty
-	if gamma <= 0 {
-		gamma = 1.5
-	}
-	a, b := cands[0], cands[1]
-	ca, cb := a.MS(), b.MS()
-	single := float64(k) * ca
-	split := gamma * float64(k) * ca * cb / (ca + cb)
-	if split >= single {
-		return nil
-	}
-	return &SplitPlan{
-		A:        a,
-		B:        b,
-		FracA:    cb / (ca + cb),
-		Log2Wall: math.Log2(split),
 	}
 }

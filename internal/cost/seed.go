@@ -9,9 +9,8 @@ import (
 // seedJSON is the checked-in seed calibration, fitted offline from the
 // repository's BENCH_kernel.json / BENCH_mps.json artifacts by
 // `qfwbench -exp fit-cost` (engines those artifacts do not cover carry
-// hand-set curves marked pts=0). It is the deterministic calibration used
-// under `go test` and QFW_COST=deterministic, and the shape every machine
-// probe rescales.
+// hand-set curves marked pts=0). It is the calibration every process runs
+// unless QFW_COST overrides it.
 //
 //go:embed seed_cost.json
 var seedJSON []byte

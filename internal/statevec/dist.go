@@ -23,9 +23,9 @@ import (
 // global index (an all-to-all shard shuffle) that brings the next run of
 // "global" qubits local in a single exchange. Combined diagonal layers
 // never communicate: factors on global qubits collapse to per-rank scalars
-// read off the rank id. The pre-fusion path that exchanges a whole shard
-// per global-qubit gate is kept as RunDistributedPerGate — the ablation
-// baseline.
+// read off the rank id. A world so large that a shard cannot host a
+// two-qubit gate (fewer than two local qubits) holds at most 2P amplitudes
+// in total, so there every rank simulates the whole state and keeps its slice.
 
 // distState is one rank's shard of the global state vector.
 type distState struct {
@@ -111,7 +111,6 @@ func newDistState(comm *mpi.Comm, n, g, workers int) *distState {
 		comm:    comm,
 		amp:     getAmpBuf(n - g),
 		pos:     make([]int, n),
-		tag:     1 << 20, // clear of the per-gate path's qubit-indexed tags
 	}
 	clear(d.amp)
 	if comm.Rank() == 0 {
@@ -164,9 +163,8 @@ func (d *distState) progIndex(gPhys int) int {
 }
 
 // indexTranslator returns the physical-to-program index map, short-circuited
-// to the identity when the layout never left it (always true on the per-gate
-// path and on fused runs without remap points) so the hot per-amplitude
-// loops skip the O(n) bit translation.
+// to the identity when the layout never left it (runs without remap points)
+// so the hot per-amplitude loops skip the O(n) bit translation.
 func (d *distState) indexTranslator() func(int) int {
 	for q, p := range d.pos {
 		if p != q {
@@ -353,19 +351,19 @@ func (d *distState) runProgram(prog *circuit.FusedProgram, sched *circuit.DistSc
 
 // distExec is one element's executable form: a staged fused program, or —
 // when the shard is too small to host the circuit's gates (more ranks than
-// the gate arities allow) — a transpiled circuit for the per-gate fallback.
+// the gate arities allow) — the whole circuit, replicated on every rank.
 type distExec struct {
-	prog     *circuit.FusedProgram
-	sched    *circuit.DistSchedule
-	fallback *circuit.Circuit
+	prog  *circuit.FusedProgram
+	sched *circuit.DistSchedule
+	whole *circuit.Circuit
 }
 
 // compileDist builds the executable form of a bound circuit for
 // nLocal-qubit shards. When a passthrough gate is too wide for the shard
 // (e.g. CCX with many ranks), it retries once after decomposing to the
 // basic gate set; if even 2-qubit gates cannot become shard-resident
-// (nLocal < 2), it degrades to the per-gate exchange engine so every world
-// size up to 2^n stays executable.
+// (nLocal < 2), the state is at most 2P amplitudes and runs replicated, so
+// every world size up to 2^n stays executable.
 func compileDist(c *circuit.Circuit, plan *circuit.FusionPlan, nLocal int) distExec {
 	stripped := c.StripMeasurements()
 	if plan == nil {
@@ -380,7 +378,7 @@ func compileDist(c *circuit.Circuit, plan *circuit.FusionPlan, nLocal int) distE
 	if sched, err := circuit.PlanDistStages(prog, nLocal); err == nil {
 		return distExec{prog: prog, sched: sched}
 	}
-	return distExec{fallback: tc}
+	return distExec{whole: stripped}
 }
 
 // sameProgramShape reports whether two compiled programs share the op
@@ -415,17 +413,15 @@ func sameProgramShape(a, b *circuit.FusedProgram) bool {
 }
 
 // run executes the element on a fresh rank shard.
-func (e *distExec) run(d *distState) error {
+func (e *distExec) run(d *distState) {
 	if e.sched != nil {
 		d.runProgram(e.prog, e.sched)
-		return nil
+		return
 	}
-	for _, g := range e.fallback.Gates {
-		if err := d.applyPerGate(g); err != nil {
-			return err
-		}
-	}
-	return nil
+	// Replicated: simulate the whole state, keep this rank's slice.
+	full, _ := RunFused(e.whole, nil, 1, nil)
+	copy(d.amp, full.Amp[d.comm.Rank()<<uint(d.nLocal):])
+	full.Release()
 }
 
 // RunDistributed executes a bound circuit on the communicator's ranks
@@ -457,9 +453,7 @@ func RunDistributedCircuit(comm *mpi.Comm, c *circuit.Circuit, plan *circuit.Fus
 	exec := compileDist(c, plan, c.NQubits-g)
 	d := newDistState(comm, c.NQubits, g, workers)
 	defer d.release()
-	if err := exec.run(d); err != nil {
-		return nil, nil, err
-	}
+	exec.run(d)
 	var expVal *float64
 	switch {
 	case obs.Ham != nil:
@@ -489,9 +483,7 @@ func RunDistributedState(comm *mpi.Comm, c *circuit.Circuit, plan *circuit.Fusio
 	exec := compileDist(c, plan, c.NQubits-g)
 	d := newDistState(comm, c.NQubits, g, 1)
 	defer d.release()
-	if err := exec.run(d); err != nil {
-		return nil, err
-	}
+	exec.run(d)
 	return d.gatherProgram(), nil
 }
 
@@ -548,10 +540,7 @@ func RunDistributedBatch(w *mpi.World, req DistBatch) ([]DistResult, error) {
 	runErr := w.Run(func(comm *mpi.Comm) error {
 		for i := range execs {
 			d := newDistState(comm, req.Circuit.NQubits, g, req.Workers)
-			if err := execs[i].run(d); err != nil {
-				d.release()
-				return fmt.Errorf("batch element %d: %w", i, err)
-			}
+			execs[i].run(d)
 			var expVal *float64
 			switch {
 			case req.Obs.Ham != nil:
@@ -726,138 +715,4 @@ func (d *distState) sample(shots int, seed int64) map[string]int {
 		}
 	}
 	return merged
-}
-
-// --- Per-gate reference path -------------------------------------------------
-//
-// RunDistributedPerGate is the pre-fusion distributed engine: one kernel
-// pass per transpiled gate, and one whole-shard Sendrecv per gate touching a
-// rank-encoded qubit. It is retained as the ablation baseline the fused
-// stage engine is measured against, and as an independent reference
-// implementation for the equivalence tests.
-
-// RunDistributedPerGate executes a bound circuit gate-by-gate and returns
-// the sampled counts on rank 0 (nil on other ranks).
-func RunDistributedPerGate(comm *mpi.Comm, c *circuit.Circuit, shots int, seed int64) (map[string]int, error) {
-	g, err := distGeometry(comm.Size(), c.NQubits)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkBound(c); err != nil {
-		return nil, err
-	}
-	d := newDistState(comm, c.NQubits, g, 1)
-	defer d.release()
-	tc := circuit.Transpile(c.StripMeasurements(), circuit.BasicGateSet())
-	for _, gate := range tc.Gates {
-		if err := d.applyPerGate(gate); err != nil {
-			return nil, err
-		}
-	}
-	if shots <= 0 {
-		shots = 1024
-	}
-	return d.sample(shots, seed), nil
-}
-
-func (d *distState) applyPerGate(g circuit.Gate) error {
-	// Bump the exchange tag once per gate on every rank — ranks whose global
-	// control bit is 0 skip the exchange entirely, so deriving the tag inside
-	// global1Q would let the counters drift apart.
-	d.tag++
-	switch g.Kind {
-	case circuit.KindBarrier, circuit.KindI, circuit.KindMeasure, circuit.KindReset:
-		return nil
-	}
-	var theta float64
-	if g.Kind.NumParams() == 1 {
-		theta = g.Angle()
-	}
-	if g.Kind.NumQubits() == 1 {
-		d.perGate1Q(circuit.Matrix1Q(g.Kind, theta), g.Qubits[0])
-		return nil
-	}
-	if m, ok := circuit.ControlledTarget(g.Kind, theta); ok && g.Kind.NumQubits() == 2 {
-		d.perGateControlled(m, g.Qubits[0], g.Qubits[1])
-		return nil
-	}
-	return fmt.Errorf("statevec: per-gate distributed engine cannot execute %s (transpile bug)", g.Kind.Name())
-}
-
-func (d *distState) perGate1Q(m [2][2]complex128, q int) {
-	if q < d.nLocal {
-		d.local1Q(m, q, -1, false)
-		return
-	}
-	d.global1Q(m, q, -1, false)
-}
-
-func (d *distState) perGateControlled(m [2][2]complex128, ctrl, tgt int) {
-	// A global control that is 0 on this rank means no work anywhere the
-	// rank owns — and the Sendrecv partner for a global target shares the
-	// control bit, so skipping is globally consistent.
-	if ctrl >= d.nLocal {
-		if d.rankBit(ctrl) == 0 {
-			return
-		}
-		if tgt < d.nLocal {
-			d.local1Q(m, tgt, -1, false)
-		} else {
-			d.global1Q(m, tgt, -1, false)
-		}
-		return
-	}
-	if tgt < d.nLocal {
-		d.local1Q(m, tgt, ctrl, true)
-		return
-	}
-	d.global1Q(m, tgt, ctrl, true)
-}
-
-// local1Q applies the matrix to a shard-resident qubit, optionally gated on
-// a shard-resident control bit.
-func (d *distState) local1Q(m [2][2]complex128, q, ctrl int, hasCtrl bool) {
-	bit := 1 << uint(q)
-	var cmask int
-	if hasCtrl {
-		cmask = 1 << uint(ctrl)
-	}
-	half := len(d.amp) >> 1
-	for j := 0; j < half; j++ {
-		i0 := insertZeroBit(j, q)
-		if hasCtrl && i0&cmask == 0 {
-			continue
-		}
-		i1 := i0 | bit
-		a0, a1 := d.amp[i0], d.amp[i1]
-		d.amp[i0] = m[0][0]*a0 + m[0][1]*a1
-		d.amp[i1] = m[1][0]*a0 + m[1][1]*a1
-	}
-}
-
-// global1Q applies the matrix to a rank-encoded qubit: ship a copy of the
-// local block to the partner rank, then combine elementwise in place. The
-// outbound copy comes from the arena and the inbound block returns to it, so
-// repeated exchanges recycle instead of allocating.
-func (d *distState) global1Q(m [2][2]complex128, q, ctrl int, hasCtrl bool) {
-	partner := d.comm.Rank() ^ (1 << uint(q-d.nLocal))
-	out := getAmpBuf(d.nLocal)
-	copy(out, d.amp)
-	theirs := d.comm.Sendrecv(partner, d.tag, out).([]complex128)
-	myBit := d.rankBit(q)
-	var cmask int
-	if hasCtrl {
-		cmask = 1 << uint(ctrl)
-	}
-	for i := range d.amp {
-		if hasCtrl && i&cmask == 0 {
-			continue
-		}
-		if myBit == 0 {
-			d.amp[i] = m[0][0]*d.amp[i] + m[0][1]*theirs[i]
-		} else {
-			d.amp[i] = m[1][0]*theirs[i] + m[1][1]*d.amp[i]
-		}
-	}
-	putAmpBuf(d.nLocal, theirs)
 }

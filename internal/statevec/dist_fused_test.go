@@ -312,71 +312,46 @@ func TestDistributedMaxRankDegradation(t *testing.T) {
 	}
 }
 
-// TestDistributedPerGateStillAgrees keeps the retained per-gate baseline
-// honest: its sampled frequencies match the serial engine.
-func TestDistributedPerGateStillAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	c := randomCircuit(6, 35, rng)
-	shots := 6000
-	serial := Simulate(c, shots, 1, rand.New(rand.NewSource(1)))
-	for _, p := range []int{2, 4} {
-		w := mpi.NewWorld(p)
-		var counts map[string]int
-		err := w.Run(func(comm *mpi.Comm) error {
-			got, err := RunDistributedPerGate(comm, c, shots, 55)
-			if comm.Rank() == 0 {
-				counts = got
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range serial {
-			fa := float64(serial[k]) / float64(shots)
-			fb := float64(counts[k]) / float64(shots)
-			if math.Abs(fa-fb) > 0.05 {
-				t.Fatalf("p=%d key %s: serial %.3f vs per-gate %.3f", p, k, fa, fb)
-			}
-		}
-	}
-}
-
 // TestDistributedFusedFewerBytes verifies the communication-avoidance claim
-// at engine level: the fused stage engine moves fewer modelled bytes than
-// the per-gate baseline on a mixer-heavy circuit.
+// at engine level: on a mixer-heavy circuit the fused stage engine moves
+// fewer modelled bytes than exchanging one shard per rank for every gate
+// that touches a rank-encoded qubit — the closed form of a per-gate
+// distributed engine.
 func TestDistributedFusedFewerBytes(t *testing.T) {
-	c := circuit.New(8)
-	for q := 0; q < 8; q++ {
+	const n, p, nLocal = 8, 4, 6
+	c := circuit.New(n)
+	for q := 0; q < n; q++ {
 		c.H(q)
 	}
 	for rep := 0; rep < 2; rep++ {
-		for q := 0; q+1 < 8; q++ {
+		for q := 0; q+1 < n; q++ {
 			c.RZZ(q, q+1, circuit.Bound(0.4))
 		}
-		for q := 0; q < 8; q++ {
+		for q := 0; q < n; q++ {
 			c.RX(q, circuit.Bound(0.8))
 		}
 	}
-	run := func(perGate bool) int64 {
-		w := mpi.NewWorld(4)
-		err := w.Run(func(comm *mpi.Comm) error {
-			var err error
-			if perGate {
-				_, err = RunDistributedPerGate(comm, c, 32, 1)
-			} else {
-				_, err = RunDistributed(comm, c, 32, 1)
+	w := mpi.NewWorld(p)
+	err := w.Run(func(comm *mpi.Comm) error {
+		_, err := RunDistributed(comm, c, 32, 1)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	globalGates := 0
+	for _, g := range c.Gates {
+		for _, q := range g.Qubits {
+			if q >= nLocal {
+				globalGates++
+				break
 			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		return w.BytesSent()
 	}
-	fused, gate := run(false), run(true)
-	if fused >= gate {
-		t.Fatalf("fused path sent %d bytes, per-gate %d — fusion should communicate less", fused, gate)
+	fused := w.BytesSent()
+	perGate := int64(globalGates) * (16 << nLocal) * p
+	if fused >= perGate {
+		t.Fatalf("fused path sent %d bytes, one shard exchange per global-qubit gate is %d — fusion should communicate less", fused, perGate)
 	}
-	t.Logf("bytes: fused=%d per-gate=%d (%.1fx less)", fused, gate, float64(gate)/float64(fused))
+	t.Logf("bytes: fused=%d per-gate closed form=%d (%.1fx less)", fused, perGate, float64(perGate)/float64(fused))
 }

@@ -59,7 +59,7 @@ func RunProgram(prog *circuit.FusedProgram, workers int, rng *rand.Rand) (*State
 // fuses once. The plan must have been built from a circuit with the same
 // structure as c (e.g. the unbound ansatz c was bound from).
 //
-// Above the tuner's qubit threshold the circuit runs on the cache-blocked
+// Above the MinQubits threshold the circuit runs on the cache-blocked
 // staged engine (blocked.go): the fused program partitioned into
 // tile-resident stages, amplitudes touched once per stage instead of once
 // per op. The per-op path remains the fallback for programs the staged
@@ -84,7 +84,7 @@ func RunFused(c *circuit.Circuit, plan *circuit.FusionPlan, workers int, rng *ra
 // RunFusedStaged is the batch-path entry of the staged engine: sched is the
 // tile schedule cached beside the fusion plan (core.ParseCache.GetStaged),
 // so a batch of bindings compiles its stages once. A nil sched — the cache's
-// way of saying the structure is untileable or below the tuner threshold —
+// way of saying the structure is untileable or below the MinQubits threshold —
 // runs the per-op fused path directly.
 func RunFusedStaged(c *circuit.Circuit, plan *circuit.FusionPlan, sched *circuit.DistSchedule, workers int, rng *rand.Rand) (*State, []int) {
 	if !c.IsBound() {

@@ -1,57 +1,41 @@
 package statevec
 
-// Adaptive tuning of the cache-blocked staged engine: tile size (log2
-// amplitudes per tile) and worker count are machine properties — they track
-// L2 capacity and core count, not the workload — so they are measured once
-// per machine by a short microbenchmark and persisted to the user cache
-// directory. Resolution order:
+// Tile size and worker count of the cache-blocked staged engine. They are
+// constants of the build — tile 14, one worker per GOMAXPROCS, staged from 18
+// qubits — so every process runs the configuration the tests and the
+// benchmark run. QFW_TUNE overrides them for experiments:
 //
-//  1. QFW_TUNE environment override:
-//     "off"            — disable the staged path entirely,
-//     "deterministic"  — fixed defaults, no disk, no benchmark (CI mode),
-//     "tile=T,workers=W,min=M" — explicit values (any subset).
-//  2. Under `go test`: deterministic defaults, so unit tests never depend
-//     on machine speed or write outside the build sandbox.
-//  3. The on-disk cache (os.UserCacheDir()/qfw/tune.json), if its machine
-//     signature matches.
-//  4. A one-shot microbenchmark: a deep staged workload timed per candidate
-//     tile size; the winner is persisted best-effort.
+//	"off"                    — disable the staged path entirely,
+//	"deterministic"          — the defaults, spelled out,
+//	"tile=T,workers=W,min=M" — explicit values (any subset).
 //
-// Inspect with TuneCachePath(); delete the file to re-measure.
+// A value that is none of these is reported once on stderr and the defaults
+// apply.
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"math/rand"
+	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
-
-	"qfw/internal/circuit"
 )
 
-// Tuning is the staged engine's machine-dependent configuration.
+// Tuning is the staged engine's configuration.
 type Tuning struct {
 	// TileBits is log2 amplitudes per cache tile. A tile occupies
 	// 2^TileBits * 16 bytes across the split re/im buffers; the default
 	// (14, 256 KiB) keeps two tiles plus the diagonal tables resident in a
 	// modern 1-2 MiB L2. Use TileBitsFor for a concrete state size — large
 	// states grow the tile beyond the base.
-	TileBits int `json:"tile_bits"`
+	TileBits int
 	// Workers is the recommended kernel worker count for callers that do
 	// not pin their own.
-	Workers int `json:"workers"`
+	Workers int
 	// MinQubits gates the staged path: below it the whole statevector is
 	// cache-resident anyway and the per-op fused path wins on overhead.
-	MinQubits int `json:"min_qubits"`
-	// Source records where the tuning came from: "env", "env-off", "test",
-	// "disk", "bench", or "default".
-	Source string `json:"source"`
+	MinQubits int
 }
 
 const (
@@ -68,13 +52,13 @@ var (
 // CurrentTuning resolves (once per process) and returns the staged-engine
 // tuning.
 func CurrentTuning() Tuning {
-	tuneOnce.Do(func() { tuneVal = resolveTuning() })
+	tuneOnce.Do(func() { tuneVal = resolveTuning(os.Stderr) })
 	return tuneVal
 }
 
 // TileBitsFor returns the tile size for an n-qubit state. The base TileBits
-// is measured at a moderate state size; for larger states the tile grows so
-// the tile count stays at most 2^9 — every tile costs one pass of scattered
+// suits moderate state sizes; for larger states the tile grows so the tile
+// count stays at most 2^9 — every tile costs one pass of scattered
 // gather chunks at a remap, and on a multi-hundred-MB state each chunk is a
 // TLB walk, so fewer, longer chunks win. Growth is capped two doublings
 // above the base and at 16: a 2^17 tile is 2 MiB across the split re/im
@@ -102,44 +86,42 @@ func (t Tuning) TileBitsFor(n int) int {
 	return tb
 }
 
-func deterministicTuning(source string) Tuning {
+func deterministicTuning() Tuning {
 	return Tuning{
 		TileBits:  defaultTileBits,
 		Workers:   runtime.GOMAXPROCS(0),
 		MinQubits: defaultMinQubits,
-		Source:    source,
 	}
 }
 
-func resolveTuning() Tuning {
-	if env := strings.TrimSpace(os.Getenv("QFW_TUNE")); env != "" {
-		if t, ok := parseTuneEnv(env); ok {
-			return t
-		}
+// resolveTuning applies QFW_TUNE over the defaults; warn receives the one
+// line reporting a malformed value.
+func resolveTuning(warn io.Writer) Tuning {
+	def := deterministicTuning()
+	env := strings.TrimSpace(os.Getenv("QFW_TUNE"))
+	if env == "" {
+		return def
 	}
-	if underGoTest() {
-		return deterministicTuning("test")
+	t, ok := parseTuneEnv(env)
+	if !ok {
+		fmt.Fprintf(warn, "qfw: QFW_TUNE=%q is not off, deterministic or tile=T,workers=W,min=M; using the defaults (tile=%d,workers=%d,min=%d)\n",
+			env, def.TileBits, def.Workers, def.MinQubits)
+		return def
 	}
-	if t, ok := loadTuning(); ok {
-		return t
-	}
-	t := benchTuning()
-	saveTuning(t)
 	return t
 }
 
-// parseTuneEnv interprets the QFW_TUNE override. Malformed values fall
-// through to normal resolution rather than failing the run.
+// parseTuneEnv interprets the QFW_TUNE override; ok is false when no part of
+// the value is a valid setting.
 func parseTuneEnv(env string) (Tuning, bool) {
+	t := deterministicTuning()
 	switch strings.ToLower(env) {
 	case "off":
-		t := deterministicTuning("env-off")
 		t.MinQubits = tuneDisabled
 		return t, true
 	case "deterministic":
-		return deterministicTuning("env"), true
+		return t, true
 	}
-	t := deterministicTuning("env")
 	any := false
 	for _, part := range strings.Split(env, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
@@ -169,142 +151,4 @@ func parseTuneEnv(env string) (Tuning, bool) {
 		}
 	}
 	return t, any
-}
-
-// underGoTest detects the `go test` harness: the testing package registers
-// its flags at init, and test binaries carry the .test suffix.
-func underGoTest() bool {
-	if flag.Lookup("test.v") != nil {
-		return true
-	}
-	exe := os.Args[0]
-	return strings.HasSuffix(exe, ".test") || strings.HasSuffix(exe, ".test.exe")
-}
-
-// machineSignature keys the disk cache: a tuning measured on one
-// core-count/arch combination is not transferable.
-func machineSignature() string {
-	return fmt.Sprintf("%s-%s-cpu%d-v2", runtime.GOOS, runtime.GOARCH, runtime.NumCPU())
-}
-
-type tuneFile struct {
-	Signature string `json:"signature"`
-	Tuning    Tuning `json:"tuning"`
-}
-
-// TuneCachePath returns the on-disk location of the persisted tuning.
-func TuneCachePath() (string, error) {
-	dir, err := os.UserCacheDir()
-	if err != nil {
-		return "", err
-	}
-	return filepath.Join(dir, "qfw", "tune.json"), nil
-}
-
-func loadTuning() (Tuning, bool) {
-	path, err := TuneCachePath()
-	if err != nil {
-		return Tuning{}, false
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Tuning{}, false
-	}
-	var tf tuneFile
-	if json.Unmarshal(data, &tf) != nil || tf.Signature != machineSignature() {
-		return Tuning{}, false
-	}
-	t := tf.Tuning
-	if t.TileBits < 4 || t.TileBits > 24 || t.Workers < 1 || t.MinQubits < 1 {
-		return Tuning{}, false
-	}
-	t.Source = "disk"
-	return t, true
-}
-
-// saveTuning persists best-effort: an unwritable cache dir never fails a run.
-func saveTuning(t Tuning) {
-	path, err := TuneCachePath()
-	if err != nil {
-		return
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return
-	}
-	data, err := json.MarshalIndent(tuneFile{Signature: machineSignature(), Tuning: t}, "", "  ")
-	if err != nil {
-		return
-	}
-	tmp := path + ".tmp"
-	if os.WriteFile(tmp, data, 0o644) != nil {
-		return
-	}
-	_ = os.Rename(tmp, path)
-}
-
-// tuneWorkload builds the microbenchmark circuit: a deep TFIM-style layer
-// stack (diagonal coupling layer + RX layer) — the access pattern the
-// staged engine exists for.
-func tuneWorkload(n, depth int) *circuit.Circuit {
-	c := circuit.New(n)
-	for d := 0; d < depth; d++ {
-		for q := 0; q < n; q++ {
-			c.RZZ(q, (q+1)%n, circuit.Bound(0.3))
-		}
-		for q := 0; q < n; q++ {
-			c.RX(q, circuit.Bound(0.7))
-		}
-	}
-	return c
-}
-
-// benchTuning times the staged engine per candidate tile size on a
-// medium-deep workload and keeps the fastest. One-shot per machine (a few
-// seconds); the result is persisted by the caller.
-//
-// The probe size must put the state in the regime the tile size actually
-// matters for: at 2^20 amplitudes the whole state is L3-resident on server
-// parts and tiny tiles win by a hair, but that choice is wrong once the
-// state spills to DRAM and the inter-stage gather turns TLB-bound. 2^22
-// (64 MiB interleaved) is past that knee while keeping the probe short.
-// The first run is a discarded warmup: a cold heap pays first-touch page
-// faults that would otherwise be charged to whichever candidate runs first.
-func benchTuning() Tuning {
-	t := deterministicTuning("bench")
-	const n, depth = 22, 4
-	c := tuneWorkload(n, depth)
-	plan := circuit.PlanFusion(c)
-	best := time.Duration(1<<62 - 1)
-	warm := false
-	for _, tb := range []int{12, 13, 14, 15, 16} {
-		sched, err := circuit.PlanTileStages(plan, c, tb)
-		if err != nil {
-			continue
-		}
-		if !warm {
-			if s, _, ok := RunStaged(c, plan, sched, 1, rand.New(rand.NewSource(1))); ok {
-				s.Release()
-			}
-			warm = true
-		}
-		var elapsed time.Duration
-		for rep := 0; rep < 2; rep++ {
-			start := time.Now()
-			s, _, ok := RunStaged(c, plan, sched, 1, rand.New(rand.NewSource(1)))
-			d := time.Since(start)
-			if !ok {
-				elapsed = best
-				break
-			}
-			s.Release()
-			if rep == 0 || d < elapsed {
-				elapsed = d
-			}
-		}
-		if elapsed < best {
-			best = elapsed
-			t.TileBits = tb
-		}
-	}
-	return t
 }
