@@ -42,9 +42,9 @@ func (b *aer) Capabilities() core.Capabilities {
 }
 
 func (b *aer) Execute(spec core.CircuitSpec, opts core.RunOptions) (core.ExecResult, error) {
-	c, err := b.cache.Get(spec)
+	c, err := parsed(b.cache, spec, opts)
 	if err != nil {
-		return core.ExecResult{}, fmt.Errorf("backend: bad circuit spec: %w", err)
+		return core.ExecResult{}, err
 	}
 	sub, err := b.resolveSub(c, opts)
 	if err != nil {
@@ -70,9 +70,9 @@ func (b *aer) ExecuteBatch(spec core.CircuitSpec, bindings []core.Bindings, opts
 	// Get (not GetFused): an MPS batch builds its own plan on the
 	// transpiled circuit, so the dense fusion plan would be wasted work;
 	// the non-MPS path builds it lazily inside runBatch.
-	base, err := b.cache.Get(spec)
+	base, err := parsed(b.cache, spec, opts)
 	if err != nil {
-		return nil, fmt.Errorf("backend: bad circuit spec: %w", err)
+		return nil, err
 	}
 	sub, err := b.resolveSub(base, opts)
 	if err != nil {
@@ -115,9 +115,9 @@ func (b *aer) ExecuteGradient(spec core.CircuitSpec, bindings []core.Bindings, o
 	default:
 		return nil, fmt.Errorf("aer: adjoint gradients need the statevector sub-backend, got %q", sub)
 	}
-	c, err := b.cache.Get(spec)
+	c, err := parsed(b.cache, spec, opts)
 	if err != nil {
-		return nil, fmt.Errorf("backend: bad circuit spec: %w", err)
+		return nil, err
 	}
 	if err := checkGradientBudget(c.NQubits, b.env.MemBudgetBytes); err != nil {
 		return nil, err

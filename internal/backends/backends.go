@@ -57,6 +57,22 @@ func parseSpec(spec core.CircuitSpec) (*circuit.Circuit, error) {
 	return c, nil
 }
 
+// parsed fetches a spec's parse through the backend's cache and checks the
+// request's observable against its width. Executors enter through it (the
+// two uncached single-shot paths call Validate themselves), so an observable
+// that does not fit the circuit is refused with one error text before any
+// engine sees it.
+func parsed(cache *core.ParseCache, spec core.CircuitSpec, opts core.RunOptions) (*circuit.Circuit, error) {
+	c, err := cache.Get(spec)
+	if err != nil {
+		return nil, fmt.Errorf("backend: bad circuit spec: %w", err)
+	}
+	if err := opts.Observable.Validate(c.NQubits); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 // runBatch is the shared BatchExecutor implementation of the local
 // simulator backends: the spec is parsed — and its gate-fusion plan built —
 // once through the backend's cache, then every element rebinds into the

@@ -104,9 +104,9 @@ func (b *ionqBackend) ExecuteBatch(spec core.CircuitSpec, bindings []core.Bindin
 	if err := b.checkOpts(opts); err != nil {
 		return nil, err
 	}
-	base, err := b.cache.Get(spec)
+	base, err := parsed(b.cache, spec, opts)
 	if err != nil {
-		return nil, fmt.Errorf("ionq: bad circuit spec: %w", err)
+		return nil, err
 	}
 	qasms := make([]string, len(bindings))
 	for i, bind := range bindings {
@@ -142,6 +142,13 @@ func (b *ionqBackend) ExecuteBatch(spec core.CircuitSpec, bindings []core.Bindin
 func (b *ionqBackend) Execute(spec core.CircuitSpec, opts core.RunOptions) (core.ExecResult, error) {
 	if err := b.checkOpts(opts); err != nil {
 		return core.ExecResult{}, err
+	}
+	// The QASM goes to the cloud as sent; only an observable needs the
+	// local parse, for the width it must fit.
+	if opts.Observable != nil {
+		if _, err := parsed(b.cache, spec, opts); err != nil {
+			return core.ExecResult{}, err
+		}
 	}
 	shots := opts.Shots
 	if shots <= 0 {

@@ -51,6 +51,9 @@ func (b *nwqsim) Capabilities() core.Capabilities {
 
 func (b *nwqsim) Execute(spec core.CircuitSpec, opts core.RunOptions) (core.ExecResult, error) {
 	c, err := parseSpec(spec)
+	if err == nil {
+		err = opts.Observable.Validate(c.NQubits)
+	}
 	if err != nil {
 		return core.ExecResult{}, err
 	}
@@ -64,6 +67,9 @@ func (b *nwqsim) Execute(spec core.CircuitSpec, opts core.RunOptions) (core.Exec
 // Other sub-backends rebind each element into the cached parse and fan out
 // across the local worker pool.
 func (b *nwqsim) ExecuteBatch(spec core.CircuitSpec, bindings []core.Bindings, opts core.RunOptions) ([]core.ExecResult, error) {
+	if _, err := parsed(b.cache, spec, opts); err != nil {
+		return nil, err
+	}
 	if normalizeSub(opts.Subbackend, "mpi") != "mpi" {
 		return runBatch(b.cache, spec, bindings, opts, b.executeParsed)
 	}
@@ -113,9 +119,9 @@ func (b *nwqsim) ExecuteBatch(spec core.CircuitSpec, bindings []core.Bindings, o
 // sub-backend — mpi included — differentiates on the node-local chunked
 // kernels; distributed execution stays the forward path's job.
 func (b *nwqsim) ExecuteGradient(spec core.CircuitSpec, bindings []core.Bindings, opts core.RunOptions) ([]core.GradResult, error) {
-	c, err := b.cache.Get(spec)
+	c, err := parsed(b.cache, spec, opts)
 	if err != nil {
-		return nil, fmt.Errorf("backend: bad circuit spec: %w", err)
+		return nil, err
 	}
 	if err := checkGradientBudget(c.NQubits, b.env.MemBudgetBytes); err != nil {
 		return nil, err

@@ -43,6 +43,9 @@ func (b *qtensor) Capabilities() core.Capabilities {
 
 func (b *qtensor) Execute(spec core.CircuitSpec, opts core.RunOptions) (core.ExecResult, error) {
 	c, err := parseSpec(spec)
+	if err == nil {
+		err = opts.Observable.Validate(c.NQubits)
+	}
 	if err != nil {
 		return core.ExecResult{}, err
 	}
@@ -55,6 +58,9 @@ func (b *qtensor) Execute(spec core.CircuitSpec, opts core.RunOptions) (core.Exe
 // is paid once per spec, never per binding — pinned by the parse-count
 // regression in TestLocalBackendsBatchParseOnce.
 func (b *qtensor) ExecuteBatch(spec core.CircuitSpec, bindings []core.Bindings, opts core.RunOptions) ([]core.ExecResult, error) {
+	if _, err := parsed(b.cache, spec, opts); err != nil {
+		return nil, err
+	}
 	return runBatch(b.cache, spec, bindings, opts,
 		func(c *circuitT, _ *circuit.FusionPlan, _ *circuit.DistSchedule, opts core.RunOptions) (core.ExecResult, error) {
 			return b.executeParsed(c, opts)
@@ -188,19 +194,14 @@ func expFromAmps(amps []complex128, obs *core.Observable) *float64 {
 	for 1<<uint(n) < len(amps) {
 		n++
 	}
-	if !obs.IsDiagonal() {
-		s := &statevec.State{N: n, Amp: amps, Workers: 1}
-		v := s.ExpectationHamiltonian(obsHamiltonian(obs, n))
-		return &v
+	s := &statevec.State{N: n, Amp: amps, Workers: 1}
+	var v float64
+	if obs.IsDiagonal() {
+		v = s.ExpectationDiagonal(obs.EnergyOfIndex)
+	} else {
+		v = s.ExpectationHamiltonian(obsHamiltonian(obs, n))
 	}
-	var acc float64
-	for i, a := range amps {
-		p := real(a)*real(a) + imag(a)*imag(a)
-		if p > 0 {
-			acc += p * obs.EnergyOfIndex(i)
-		}
-	}
-	return &acc
+	return &v
 }
 
 // sampleAmps draws counts from an amplitude vector.

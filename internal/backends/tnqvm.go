@@ -39,6 +39,9 @@ func (b *tnqvm) Execute(spec core.CircuitSpec, opts core.RunOptions) (core.ExecR
 	if err := b.checkSub(opts); err != nil {
 		return core.ExecResult{}, err
 	}
+	if _, err := parsed(b.cache, spec, opts); err != nil {
+		return core.ExecResult{}, err
+	}
 	res, err := runMPSSingle(b.cache, spec, opts, tnqvmDefaultBond, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return core.ExecResult{}, fmt.Errorf("tnqvm/exatn-mps: %w", err)
@@ -52,6 +55,9 @@ func (b *tnqvm) Execute(spec core.CircuitSpec, opts core.RunOptions) (core.ExecR
 // rebinds into it.
 func (b *tnqvm) ExecuteBatch(spec core.CircuitSpec, bindings []core.Bindings, opts core.RunOptions) ([]core.ExecResult, error) {
 	if err := b.checkSub(opts); err != nil {
+		return nil, err
+	}
+	if _, err := parsed(b.cache, spec, opts); err != nil {
 		return nil, err
 	}
 	res, err := runMPSBatch(b.cache, spec, bindings, opts, tnqvmDefaultBond)

@@ -23,7 +23,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"strings"
+	"sync"
 
 	"qfw/internal/circuit"
 )
@@ -277,10 +280,138 @@ type PauliTerm struct {
 // Diagonal observables (no Paulis) are evaluable on every backend (exactly
 // on local simulators, from counts on the cloud path); general Pauli terms
 // need a local simulator backend.
+//
+// The diagonal form is compiled once per Observable value, by the first
+// EnergyOfIndex call (concurrent first calls are safe), and never rebuilt:
+// build the observable completely, then evaluate it, and do not mutate it
+// afterwards. It holds a sync.Once, so an Observable must not be copied by
+// value (go vet's copylocks check enforces this); being unexported, it is
+// invisible to JSON, the wire and the serve cache key.
 type Observable struct {
 	Fields    []float64   `json:"fields"`
 	Couplings []Coupling  `json:"couplings,omitempty"`
 	Paulis    []PauliTerm `json:"paulis,omitempty"`
+
+	diag diagonal
+}
+
+// diagTableMaxBits caps the tabulated width: 2^20 energies are 8 MiB, half
+// the 20-qubit state they are read against, and no request can buy more
+// whatever qubits it names. A wider observable walks its compiled terms per
+// index instead.
+const diagTableMaxBits = 20
+
+// diagonal is the compiled form of a diagonal observable: its non-zero
+// terms in Fields, Couplings, Paulis order — the order the energy sums in —
+// and, when the highest qubit they touch is below diagTableMaxBits, the
+// table of the 2^w energies over the w qubits touched.
+type diagonal struct {
+	once    sync.Once
+	nondiag bool // a term with X or Y: evaluation panics, as it always has
+	terms   []diagTerm
+	table   []float64
+}
+
+// diagTerm adds +c to the energy of a basis index with an even number of
+// mask bits set and −c otherwise.
+type diagTerm struct {
+	c    float64
+	mask uint64
+}
+
+// zbit is qubit q's bit of a basis index; a qubit no index can address
+// reads as |0⟩ (Validate rejects those against the circuit width).
+func zbit(q int) uint64 {
+	if q < 0 || q >= 63 {
+		return 0
+	}
+	return 1 << uint(q)
+}
+
+// compiled returns the diagonal form, building it on first use.
+func (o *Observable) compiled() *diagonal {
+	d := &o.diag
+	d.once.Do(func() { d.compile(o) })
+	if d.nondiag {
+		panic("core: non-diagonal Pauli term in diagonal evaluation")
+	}
+	return d
+}
+
+func (d *diagonal) compile(o *Observable) {
+	var touched uint64
+	add := func(c float64, mask uint64) {
+		if c != 0 { // a zero term adds ±0, which changes no sum
+			d.terms = append(d.terms, diagTerm{c, mask})
+			touched |= mask
+		}
+	}
+	for i, f := range o.Fields {
+		add(f, zbit(i))
+	}
+	for _, c := range o.Couplings {
+		add(c.V, zbit(c.I)^zbit(c.J))
+	}
+	for _, t := range o.Paulis {
+		var mask uint64
+		for q := 0; q < len(t.Ops); q++ {
+			switch t.Ops[q] {
+			case 'Z':
+				mask |= zbit(q)
+			case 'I':
+			default:
+				d.nondiag = true
+				return
+			}
+		}
+		add(t.Coeff, mask)
+	}
+	if w := bits.Len64(touched); w <= diagTableMaxBits {
+		d.table = make([]float64, 1<<uint(w))
+		for idx := range d.table {
+			d.table[idx] = d.walk(idx)
+		}
+	}
+}
+
+// walk sums the terms in order, each as ±c with the sign bit set by the
+// parity of idx under the term's mask: the float64 that the product of c
+// with one ±1 factor per qubit yields, without a call per factor.
+func (d *diagonal) walk(idx int) float64 {
+	var e float64
+	for _, t := range d.terms {
+		odd := uint64(bits.OnesCount64(uint64(idx)&t.mask) & 1)
+		e += math.Float64frombits(math.Float64bits(t.c) ^ odd<<63)
+	}
+	return e
+}
+
+// Validate checks the observable against an n-qubit circuit: every non-zero
+// term must act inside [0, n), every Pauli string be at most n characters
+// of IXYZ. Engines disagree on (or panic over) anything else, so executors
+// call this once the circuit is parsed, before any engine runs. A nil
+// observable is valid.
+func (o *Observable) Validate(n int) error {
+	if o == nil {
+		return nil
+	}
+	const misfit = "observable does not fit the %d-qubit circuit: "
+	for i := max(n, 0); i < len(o.Fields); i++ {
+		if o.Fields[i] != 0 {
+			return fmt.Errorf(misfit+"field on qubit %d", n, i)
+		}
+	}
+	for _, c := range o.Couplings {
+		if c.V != 0 && (c.I < 0 || c.I >= n || c.J < 0 || c.J >= n) {
+			return fmt.Errorf(misfit+"coupling on qubits (%d, %d)", n, c.I, c.J)
+		}
+	}
+	for _, t := range o.Paulis {
+		if len(t.Ops) > n || strings.Trim(t.Ops, "IXYZ") != "" {
+			return fmt.Errorf(misfit+"Pauli string %q", n, t.Ops)
+		}
+	}
+	return nil
 }
 
 // IsDiagonal reports whether the observable is computational-basis diagonal
@@ -325,14 +456,14 @@ func (o *Observable) EnergyOfKey(key string) float64 {
 }
 
 // EnergyOfIndex evaluates a diagonal observable on a basis-state index
-// (bit q of idx is qubit q).
+// (bit q of idx is qubit q): one read of the compiled table, which the first
+// call builds in full — meant for callers that visit every amplitude.
 func (o *Observable) EnergyOfIndex(idx int) float64 {
-	return o.diagonalEnergy(func(q int) float64 {
-		if idx&(1<<uint(q)) != 0 {
-			return -1
-		}
-		return 1
-	})
+	d := o.compiled()
+	if d.table != nil {
+		return d.table[idx&(len(d.table)-1)]
+	}
+	return d.walk(idx)
 }
 
 func (o *Observable) diagonalEnergy(z func(q int) float64) float64 {
