@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		expList    = flag.String("exp", "all", "comma-separated experiments: table1,table2,fig3a,fig3b,fig3c,fig3c-strong,fig3d,fig3e,fig3f,fig4,fig5,ablation-batch,ablation-fusion,ablation-dist,ablation-grad,ablation-mps,ablation-kernel,ablation-route,ablation-serve,ablation-faults,ablation-obs or 'all'; fit-cost (explicit only) refits the cost calibration from recorded artifacts")
+		expList    = flag.String("exp", "all", "comma-separated experiments: table1,table2,fig3a,fig3b,fig3c,fig3c-strong,fig3d,fig3e,fig3f,fig4,fig5,ablation-batch,ablation-fusion,ablation-dist,ablation-grad,ablation-mps,ablation-kernel,ablation-route,ablation-faults,ablation-obs or 'all'; fit-cost (explicit only) refits the cost calibration from recorded artifacts")
 		full       = flag.Bool("full", false, "use the paper's full size lists (quick laptop sizes otherwise)")
 		repeats    = flag.Int("repeats", 3, "repetitions per point (paper: 3)")
 		shots      = flag.Int("shots", 256, "shots per circuit execution")
@@ -46,7 +46,6 @@ func main() {
 		mpsJSON    = flag.String("mps-json", "BENCH_mps.json", "path for the ablation-mps JSON record (empty disables)")
 		kernelJSON = flag.String("kernel-json", "BENCH_kernel.json", "path for the ablation-kernel JSON record (empty disables)")
 		routeJSON  = flag.String("route-json", "BENCH_route.json", "path for the ablation-route JSON record (empty disables)")
-		serveJSON  = flag.String("serve-json", "BENCH_serve.json", "path for the ablation-serve JSON record (empty disables)")
 		faultsJSON = flag.String("faults-json", "BENCH_faults.json", "path for the ablation-faults JSON record (empty disables)")
 		obsJSON    = flag.String("obs-json", "BENCH_obs.json", "path for the ablation-obs JSON record (empty disables)")
 		costFrom   = flag.String("cost-from", "BENCH_kernel.json,BENCH_mps.json,BENCH_route.json", "comma-separated bench artifacts fit-cost regresses the calibration from")
@@ -206,13 +205,6 @@ func main() {
 		exp, err := h.RunRouteAblation()
 		if err == nil {
 			writeJSON(*routeJSON, exp)
-		}
-		return exp, err
-	})
-	run("ablation-serve", func() (*bench.Experiment, error) {
-		exp, err := h.RunServeAblation()
-		if err == nil {
-			writeJSON(*serveJSON, exp)
 		}
 		return exp, err
 	})

@@ -42,7 +42,6 @@ func main() {
 		walltime    = flag.Duration("walltime", 2*time.Hour, "SLURM walltime (paper cutoff: 2h)")
 		seed        = flag.Int64("seed", 1, "base RNG seed")
 		cacheCap    = flag.Int("serve-cache", 4096, "serving-layer result cache entries per backend (negative disables caching)")
-		window      = flag.Duration("serve-window", 2*time.Millisecond, "longest a mergeable submission may ride behind a same-spec unit of its tenant that is still executing, absorbing arrivals into one batch; submissions with no such sibling never wait (0 disables the hold)")
 		quota       = flag.Int("serve-quota", 0, "default per-tenant outstanding-element quota (0: the queue cap)")
 		drainGrace  = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline: stop admitting on SIGTERM and finish in-flight work up to this long")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics and Chrome-trace /trace on this address (empty disables)")
@@ -80,16 +79,16 @@ func main() {
 	}
 
 	// One serving layer per backend, registered beside the raw qpm.<backend>
-	// service: applications that want the cache/coalescing/fair-share path
+	// service: applications that want the cache/fair-share path
 	// talk to serve.<backend>, existing clients keep the raw queue.
-	srvCfg := serve.Config{CacheCap: *cacheCap, Window: *window, Quota: *quota}
+	srvCfg := serve.Config{CacheCap: *cacheCap, Quota: *quota}
 	var servers []*serve.Server
 	for _, backend := range session.Backends() {
 		srv := serve.New(session.QPM(backend), srvCfg, session.Rec)
 		session.RegisterService(serve.ServiceName(backend), srv)
 		servers = append(servers, srv)
 	}
-	fmt.Printf("qfwd: serving layer up (cache %d, window %s)\n", *cacheCap, *window)
+	fmt.Printf("qfwd: serving layer up (cache %d)\n", *cacheCap)
 
 	// Utilization time series: QRC-worker busy fractions per backend plus
 	// the serving layers' dispatch-slot busy fractions.
@@ -171,8 +170,8 @@ func main() {
 	}
 	for _, srv := range servers {
 		st := srv.Stats()
-		fmt.Printf("qfwd: serve[%s]: served %d (cache hits %d, deduped %d, shed %d, peak queue %d)\n",
-			st.Backend, st.Served, st.CacheHits, st.Deduped, st.Shed, st.PeakQueueDepth)
+		fmt.Printf("qfwd: serve[%s]: served %d (cache hits %d, shed %d, peak queue %d)\n",
+			st.Backend, st.Served, st.CacheHits, st.Shed, st.PeakQueueDepth)
 		srv.Close()
 	}
 	fmt.Println("qfwd: tearing down")
@@ -220,7 +219,7 @@ func runSelfcheck(servers []*serve.Server, seed int64) error {
 			return fmt.Errorf("run %d: %s", i+1, errs[0])
 		}
 		tm := results[0].Timings
-		fmt.Printf("qfwd: selfcheck %s on %s: lookup %.3f ms | coalesce %.3f ms | queue %.3f ms | exec %.3f ms | total %.3f ms (cache hits %d)\n",
+		fmt.Printf("qfwd: selfcheck %s on %s: lookup %.3f ms | serve wait %.3f ms | queue %.3f ms | exec %.3f ms | total %.3f ms (cache hits %d)\n",
 			what, srv.Backend(), tm.CacheLookupMS, tm.CoalesceWaitMS, tm.QueueMS, tm.ExecMS, tm.TotalMS, info.CacheHits)
 		if i == 1 && !tm.CacheHit {
 			return fmt.Errorf("second run was not served from the cache (timings %+v)", tm)

@@ -65,57 +65,6 @@ func TestAblationCatalogListed(t *testing.T) {
 	if !strings.Contains(t2.Text, "engine-routing") {
 		t.Fatalf("engine-routing ablation missing from catalog:\n%s", t2.Text)
 	}
-	if !strings.Contains(t2.Text, "serving-layer") {
-		t.Fatalf("serving-layer ablation missing from catalog:\n%s", t2.Text)
-	}
-}
-
-func TestServeAblationStructure(t *testing.T) {
-	// Structure + loose-speedup check of the serving-layer ablation: four
-	// policy series over the same client grid plus the load-shed probe, a
-	// cached-vs-uncached throughput win at the top client count, and typed
-	// shedding under the bounded-queue probe. The >=5x acceptance aggregate
-	// is measured by the full-size qfwbench run recorded in BENCH_serve.json.
-	h := quickHarness(t)
-	exp, err := h.RunServeAblation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exp.Series) != 5 {
-		t.Fatalf("series %d, want 5 (4 policies + shed probe)", len(exp.Series))
-	}
-	byLabel := map[string]*Series{}
-	for i := range exp.Series {
-		byLabel[exp.Series[i].Label] = &exp.Series[i]
-	}
-	full, none := byLabel["cache+coalesce"], byLabel["no cache"]
-	if full == nil || none == nil {
-		t.Fatalf("missing policy series in %+v", exp.Series)
-	}
-	for i, fp := range full.Points {
-		np := none.Points[i]
-		if fp.X != np.X {
-			t.Fatalf("client grid mismatch: %d vs %d", fp.X, np.X)
-		}
-		if fp.P50MS > fp.P99MS {
-			t.Fatalf("c=%d: p50 %.3fms above p99 %.3fms", fp.X, fp.P50MS, fp.P99MS)
-		}
-	}
-	last := len(full.Points) - 1
-	if full.Points[last].Throughput < 2*none.Points[last].Throughput {
-		t.Fatalf("c=%d: cached throughput %.0f req/s not 2x uncached %.0f req/s",
-			full.Points[last].X, full.Points[last].Throughput, none.Points[last].Throughput)
-	}
-	probe := byLabel["load-shed probe"]
-	if probe == nil || len(probe.Points) != 1 {
-		t.Fatalf("missing shed probe in %+v", exp.Series)
-	}
-	if probe.Points[0].Shed == 0 {
-		t.Fatal("bounded-queue probe shed nothing: overload never triggered")
-	}
-	if !strings.Contains(exp.Notes, "ErrOverloaded") {
-		t.Fatalf("notes missing shed summary: %s", exp.Notes)
-	}
 }
 
 func TestKernelAblationStructure(t *testing.T) {

@@ -159,11 +159,6 @@ var AblationCatalog = []AblationSpec{
 		Describe: "Deep QAOA/TFIM statevector execution on one core: cache-blocked stage engine (SoA tiles, SIMD kernels) vs per-op fused vs per-gate seed kernels (same circuits, same seeds, depth sweep)",
 	},
 	{
-		Name:     "serving-layer",
-		Ks:       []int{1, 8, 32},
-		Describe: "Repeated-submission hot set (analytic QAOA queries + seeded GHZ sampling) through the multi-tenant serving layer at K concurrent clients: content-addressed cache and sibling-clocked coalescing toggled, plus a bounded-queue load-shed probe",
-	},
-	{
 		Name:     "fault-injection",
 		Ks:       []int{64},
 		Describe: "64-element parametric sweep through a seeded fault injector at rising per-element transient-failure rates: retry + degrade-to-element recovery vs a single-attempt policy, plus a dead-primary fallback re-routing probe",

@@ -2,13 +2,25 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"sort"
+	"sync"
+	"time"
 
 	"qfw/internal/core"
 	"qfw/internal/serve"
 	"qfw/internal/trace"
 	"qfw/internal/workloads"
 )
+
+// serveRequest is one item of the load generator's hot set: a submission the
+// clients keep re-issuing through the serving layer.
+type serveRequest struct {
+	spec     core.CircuitSpec
+	bindings []core.Bindings
+	opts     core.RunOptions
+}
 
 // obsHotSet builds the overhead-measurement workload: unseeded sampled
 // TFIM evolutions deep enough that one request costs milliseconds of real
@@ -151,4 +163,82 @@ func minOf(samples []float64) float64 {
 		}
 	}
 	return m
+}
+
+// serveLoad drives one serving-layer configuration with `clients` concurrent
+// clients, each cycling through the hot set `reqs` times, and reports the
+// latency distribution and sustained throughput.
+func serveLoad(srv *serve.Server, hot []serveRequest, clients, reqs int) (Point, error) {
+	latencies := make([][]float64, clients)
+	errc := make(chan error, clients)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			tenant := fmt.Sprintf("client-%02d", c)
+			lats := make([]float64, 0, reqs)
+			for i := 0; i < reqs; i++ {
+				// Clients start at staggered offsets so the instantaneous mix
+				// stays heterogeneous.
+				req := hot[(c+i)%len(hot)]
+				t0 := time.Now()
+				_, errs, _, err := srv.Exec(tenant, req.spec, req.bindings, req.opts)
+				if err == nil {
+					for _, e := range errs {
+						if e != "" {
+							err = fmt.Errorf("element error: %s", e)
+							break
+						}
+					}
+				}
+				if err != nil {
+					errc <- fmt.Errorf("client %d req %d: %w", c, i, err)
+					return
+				}
+				lats = append(lats, float64(time.Since(t0))/float64(time.Millisecond))
+			}
+			latencies[c] = lats
+		}(c)
+	}
+	wg.Wait()
+	wall := time.Since(start)
+	select {
+	case err := <-errc:
+		return Point{}, err
+	default:
+	}
+
+	var all []float64
+	for _, lats := range latencies {
+		all = append(all, lats...)
+	}
+	sort.Float64s(all)
+	mean, std := meanStd(all)
+	return Point{
+		X:          clients,
+		Placement:  fmt.Sprintf("c=%d", clients),
+		RuntimeMS:  mean,
+		StdMS:      std,
+		MinMS:      all[0],
+		P50MS:      percentile(all, 50),
+		P99MS:      percentile(all, 99),
+		Throughput: float64(len(all)) / wall.Seconds(),
+	}, nil
+}
+
+// percentile returns the p-th percentile (nearest-rank) of sorted samples.
+func percentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(math.Ceil(p/100*float64(len(sorted)))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
+	}
+	return sorted[idx]
 }

@@ -140,8 +140,9 @@ func (o RunOptions) ForElement(i int) RunOptions {
 type Timings struct {
 	// CacheLookupMS is the serving layer's content-addressed cache probe.
 	CacheLookupMS float64 `json:"cache_lookup_ms,omitempty"`
-	// CoalesceWaitMS is time spent in the serving layer's admission window
-	// and fair-share queue before the element's unit dispatched.
+	// CoalesceWaitMS is the serving-layer queue wait: time from admission
+	// to the dispatch of the element's unit (the name predates the removal
+	// of submission coalescing and is kept for the wire format).
 	CoalesceWaitMS float64 `json:"coalesce_wait_ms,omitempty"`
 	// QueueMS is time waiting in the QPM queue for a QRC worker.
 	QueueMS float64 `json:"queue_ms"`
@@ -153,7 +154,7 @@ type Timings struct {
 	// Attempts counts executor attempts (1 = first try succeeded).
 	Attempts int `json:"attempts,omitempty"`
 	// CacheHit marks results replayed from the serving layer's result
-	// cache or deduplicated onto an identical in-flight execution.
+	// cache.
 	CacheHit bool    `json:"cache_hit,omitempty"`
 	TotalMS  float64 `json:"total_ms"`
 }

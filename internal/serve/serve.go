@@ -1,20 +1,18 @@
 // Package serve is the multi-tenant serving layer between the DEFw RPC
 // surface and a backend QPM: the piece that turns the single-job demo
-// daemon into a traffic-bearing service. Three cooperating mechanisms make
-// repeated and concurrent traffic fast and keep tenants isolated:
+// daemon into a traffic-bearing service. Two mechanisms make repeated
+// traffic fast and keep tenants isolated:
 //
 //   - a content-addressed result cache (exact-hit replay of deterministic
-//     seeded runs, expectation-value memoization for analytic queries) with
-//     single-flight deduplication, so N concurrent identical submissions
-//     trigger one execution and repeats are served from memory;
-//   - session-affine batch coalescing under work-conserving (Nagle-style)
-//     admission: a submission dispatches at once unless its tenant already
-//     has a same-spec unit executing, in which case it rides behind that
-//     sibling and whatever arrives meanwhile leaves with it as one QPM batch,
-//     reusing the compile-once-per-batch machinery of the execution engines;
+//     seeded runs, expectation-value memoization for analytic queries), so
+//     repeats are served from memory;
 //   - a weighted fair-share scheduler (stride scheduling over per-tenant
 //     FIFO queues) with per-tenant quotas and bounded queues that shed load
 //     with a typed ErrOverloaded instead of growing without bound.
+//
+// One submission in, one QPM batch out: a submission's cache misses form
+// one unit, which dispatches as a single QPM.ExecBatch as soon as the
+// scheduler picks it and a dispatch slot is free.
 //
 // Queue-depth and utilization telemetry rides the session's trace.Recorder
 // next to the execution spans.
@@ -89,17 +87,13 @@ func ServiceName(backend string) string { return "serve." + backend }
 // eviction paths.
 type Config struct {
 	// CacheCap bounds the result cache (entries). 0 means the default
-	// (4096); negative disables caching and single-flight deduplication.
+	// (4096); negative disables caching.
 	CacheCap int
-	// Window bounds how long a mergeable submission may ride behind a
-	// same-group unit of its tenant that is still executing, absorbing
-	// same-group arrivals; it leaves as soon as that sibling resolves, the
-	// unit fills, or Window elapses. A submission with no such sibling
-	// never waits, so an idle server adds no latency. 0 disables the hold
-	// (bursts still coalesce while dispatch slots are busy).
+	// Window is inert. It bounded how long a submission could wait to merge
+	// with same-spec arrivals of its tenant; that merging was removed because
+	// no measured traffic ever merged (each submission now dispatches alone).
+	// The field stays so existing callers keep compiling.
 	Window time.Duration
-	// MaxBatch caps the elements of one coalesced dispatch (default 64).
-	MaxBatch int
 	// QueueCap bounds the total queued elements across tenants; submissions
 	// over the bound shed with ErrOverloaded (default 1024).
 	QueueCap int
@@ -115,9 +109,6 @@ func (c Config) withDefaults(workers int) Config {
 	if c.CacheCap == 0 {
 		c.CacheCap = 4096
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 1024
 	}
@@ -130,77 +121,27 @@ func (c Config) withDefaults(workers int) Config {
 	return c
 }
 
-// elem is one schedulable circuit execution owned by a submission.
+// elem is one circuit execution of a submission that missed the cache.
 type elem struct {
-	sub      *submission
-	idx      int
+	idx      int // position in the submission
 	binding  core.Bindings
-	key      string // cache key; "" when the element is not cacheable
-	leader   bool   // owns the single-flight entry for key
-	enq      time.Time
+	key      string  // cache key; "" when the element is not cacheable
 	lookupMS float64 // cache-lookup cost carried into the result's Timings
+
+	// Outcome, written by dispatch (or Close) before the unit's done closes.
+	res *core.Result
+	err string
 }
 
-// submission tracks one Exec call's elements until all resolve.
-type submission struct {
-	mu        sync.Mutex
-	settled   []bool
-	results   []*core.Result
-	errs      []string
-	remaining int
-	done      chan struct{}
-}
-
-func newSubmission(n int) *submission {
-	return &submission{
-		settled:   make([]bool, n),
-		results:   make([]*core.Result, n),
-		errs:      make([]string, n),
-		remaining: n,
-		done:      make(chan struct{}),
-	}
-}
-
-// resolve records one element outcome; it is idempotent so a cache hit
-// resolved early is not double-counted when its batch also recomputes it.
-func (s *submission) resolve(i int, res *core.Result, errStr string) {
-	s.mu.Lock()
-	if s.settled[i] {
-		s.mu.Unlock()
-		return
-	}
-	s.settled[i] = true
-	s.results[i] = res
-	s.errs[i] = errStr
-	s.remaining--
-	last := s.remaining == 0
-	s.mu.Unlock()
-	if last {
-		close(s.done)
-	}
-}
-
-// unit is one dispatchable group: a spec plus ordered elements that will
-// travel as a single QPM batch. Mergeable units (analytic queries and
-// unseeded singles, where per-element seeds carry no replay contract) keep
-// absorbing same-group arrivals until dispatch.
+// unit is one submission's cache misses: a spec plus ordered elements that
+// travel as a single QPM batch.
 type unit struct {
-	tenant   string
-	groupKey string // "" = never merged (seed schedule is load-bearing)
-	spec     core.CircuitSpec
-	opts     core.RunOptions
-	elems    []*elem
-	enq      time.Time
-}
-
-// flight is one in-progress execution other submissions can ride instead of
-// recomputing (single-flight deduplication).
-type flight struct {
-	mu      sync.Mutex
-	done    bool
-	res     *core.Result
-	errStr  string
-	waiters []*elem
+	tenant string
+	spec   core.CircuitSpec
+	opts   core.RunOptions
+	elems  []*elem
+	enq    time.Time
+	done   chan struct{} // closed once every element has its outcome
 }
 
 type tenantQueue struct {
@@ -209,9 +150,7 @@ type tenantQueue struct {
 	quota       int
 	pass        float64 // stride-scheduling virtual time
 	units       []*unit
-	open        map[string]*unit // queued mergeable units by group key
-	inflight    map[string]int   // dispatched, unresolved mergeable units by group key
-	outstanding int              // queued + dispatched elements
+	outstanding int // queued + dispatched elements
 	served      int64
 	shed        int64
 }
@@ -227,7 +166,6 @@ type Server struct {
 
 	mu        sync.Mutex
 	tenants   map[string]*tenantQueue
-	flights   map[string]*flight
 	queued    int // queued elements across tenants
 	peakDepth int
 	vtime     float64 // virtual time: pass of the last dispatched tenant
@@ -242,7 +180,6 @@ type Server struct {
 	start    time.Time
 	hits     atomic.Int64
 	misses   atomic.Int64
-	deduped  atomic.Int64
 	shedded  atomic.Int64
 	served   atomic.Int64
 	groups   atomic.Int64
@@ -250,9 +187,9 @@ type Server struct {
 	busyNS   atomic.Int64
 
 	// Resolved metric handles (shared registry, labeled by backend).
-	mHits, mMisses, mDeduped, mShed, mServed *trace.Counter
-	hReq                                     *trace.Histogram
-	gDepth                                   *trace.Gauge
+	mHits, mMisses, mShed, mServed *trace.Counter
+	hReq                           *trace.Histogram
+	gDepth                         *trace.Gauge
 }
 
 // New builds and starts the serving layer over a QPM. rec may be nil.
@@ -268,7 +205,6 @@ func New(qpm *core.QPM, cfg Config, rec *trace.Recorder) *Server {
 		cfg:     cfg,
 		rec:     rec,
 		tenants: make(map[string]*tenantQueue),
-		flights: make(map[string]*flight),
 		wake:    make(chan struct{}, 1),
 		stopc:   make(chan struct{}),
 		sem:     make(chan struct{}, cfg.Inflight),
@@ -280,7 +216,6 @@ func New(qpm *core.QPM, cfg Config, rec *trace.Recorder) *Server {
 	met := rec.Metrics()
 	s.mHits = met.Counter(trace.LabeledName("qfw_serve_cache_hits_total", "backend", s.backend))
 	s.mMisses = met.Counter(trace.LabeledName("qfw_serve_cache_misses_total", "backend", s.backend))
-	s.mDeduped = met.Counter(trace.LabeledName("qfw_serve_deduped_total", "backend", s.backend))
 	s.mShed = met.Counter(trace.LabeledName("qfw_serve_shed_total", "backend", s.backend))
 	s.mServed = met.Counter(trace.LabeledName("qfw_serve_served_total", "backend", s.backend))
 	s.hReq = met.Histogram(trace.LabeledName("qfw_serve_request_ms", "backend", s.backend))
@@ -319,7 +254,7 @@ func (s *Server) SetTenant(name string, weight, quota int) {
 func (s *Server) tenantLocked(name string) *tenantQueue {
 	t, ok := s.tenants[name]
 	if !ok {
-		t = &tenantQueue{name: name, weight: 1, quota: s.cfg.Quota, open: make(map[string]*unit), inflight: make(map[string]int)}
+		t = &tenantQueue{name: name, weight: 1, quota: s.cfg.Quota}
 		s.tenants[name] = t
 	}
 	return t
@@ -328,14 +263,14 @@ func (s *Server) tenantLocked(name string) *tenantQueue {
 // ExecInfo summarizes how a submission was served.
 type ExecInfo struct {
 	CacheHits int `json:"cache_hits"`
-	Deduped   int `json:"deduped"`
 }
 
 // Exec runs one submission — a spec plus zero or more bindings — on behalf
 // of a tenant and blocks until every element resolves. Results come back
 // ordered with parallel per-element error strings ("" for success). The
 // top-level error is non-nil only when the whole submission was rejected
-// (draining, closed, bad spec, or shed with ErrOverloaded).
+// (draining, closed, bad spec, larger than the tenant can ever queue, or
+// shed with ErrOverloaded).
 func (s *Server) Exec(tenant string, spec core.CircuitSpec, bindings []core.Bindings, opts core.RunOptions) ([]*core.Result, []string, ExecInfo, error) {
 	var info ExecInfo
 	if spec.QASM == "" {
@@ -354,39 +289,20 @@ func (s *Server) Exec(tenant string, spec core.CircuitSpec, bindings []core.Bind
 	clientSeeded := opts.Seed != 0
 	analytic := opts.Shots == 0 && opts.Observable != nil
 	replayable := s.caps.DeterministicSeeded
-	// Mergeable elements carry no per-element seed contract: analytic
-	// queries (no sampling) and unseeded singles (caller accepted arbitrary
-	// sampling). Everything else keeps its submission's seed schedule and
-	// travels as one intact group.
-	mergeable := analytic || (single && !clientSeeded)
 
-	sub := newSubmission(k)
-	eopts := make([]core.RunOptions, k)
 	elems := make([]*elem, k)
 	for i := range bindings {
-		eo := opts
-		if !single {
-			// Element seeds follow the QPM batch schedule so serving a batch
-			// is bit-identical to submitting it to the QPM directly.
-			eo = opts.ForElement(i)
-		}
-		eopts[i] = eo
-		e := &elem{sub: sub, idx: i, binding: bindings[i]}
+		e := &elem{idx: i, binding: bindings[i]}
 		if replayable && (analytic || clientSeeded) && s.cache != nil {
+			eo := opts
+			if !single {
+				// Element seeds follow the QPM batch schedule so serving a
+				// batch is bit-identical to submitting it to the QPM directly.
+				eo = opts.ForElement(i)
+			}
 			e.key = cacheKey(spec, bindings[i], eo, analytic)
 		}
 		elems[i] = e
-	}
-
-	var groupKey string
-	if mergeable {
-		norm := opts
-		norm.Seed = 0
-		class := "u"
-		if analytic {
-			class = "a"
-		}
-		groupKey = class + "|" + cacheKey(spec, nil, norm, analytic)
 	}
 
 	s.mu.Lock()
@@ -399,9 +315,11 @@ func (s *Server) Exec(tenant string, spec core.CircuitSpec, bindings []core.Bind
 		return nil, nil, info, fmt.Errorf("serve[%s]: %w", s.backend, core.ErrDraining)
 	}
 	t := s.tenantLocked(tenant)
+	defer func() { s.hReq.Observe(float64(time.Since(reqStart)) / float64(time.Millisecond)) }()
 
-	// Resolve what never needs the queue: cache hits and rides on in-flight
-	// identical executions.
+	// Cache hits never need the queue.
+	results := make([]*core.Result, k)
+	errs := make([]string, k)
 	var need []*elem
 	for _, e := range elems {
 		if e.key != "" {
@@ -416,64 +334,68 @@ func (s *Server) Exec(tenant string, spec core.CircuitSpec, bindings []core.Bind
 				// zeroed breakdown so clients can still reconcile TotalMS.
 				res.Timings.CacheLookupMS = lookMS
 				res.Timings.TotalMS = res.Timings.Sum()
-				e.sub.resolve(e.idx, res, "")
+				results[e.idx] = res
 				continue
 			}
 			e.lookupMS = lookMS
 			s.misses.Add(1)
 			s.mMisses.Inc()
-			if single {
-				if fl, ok := s.flights[e.key]; ok {
-					s.deduped.Add(1)
-					s.mDeduped.Inc()
-					info.Deduped++
-					attachFollower(fl, e)
-					continue
-				}
-			}
 		}
 		need = append(need, e)
 	}
 
-	if len(need) > 0 && !mergeable && len(need) < k {
+	if len(need) > 0 && !analytic && len(need) < k {
 		// A seed-scheduled batch recomputes whole or not at all: partial
 		// replay would shift the remaining elements' dispatch indices (and
-		// thus seeds). Hits already resolved above stay resolved — resolve
-		// is idempotent, so recomputed duplicates are dropped.
+		// thus seeds). Hits already resolved above keep their replayed
+		// results; the recomputed duplicates are dropped.
 		need = elems
 	}
-
-	if len(need) > 0 {
-		if t.outstanding+len(need) > t.quota || s.queued+len(need) > s.cfg.QueueCap {
-			t.shed += int64(len(need))
-			s.shedded.Add(int64(len(need)))
-			s.mShed.Add(int64(len(need)))
-			depth := s.queued
-			s.mu.Unlock()
-			err := fmt.Errorf("serve[%s]: %w: tenant %q has %d outstanding (quota %d), %d queued (cap %d); retry_after_ms=%d",
-				s.backend, ErrOverloaded, tenant, t.outstanding, t.quota, depth, s.cfg.QueueCap,
-				retryAfterFor(depth)/time.Millisecond)
-			for _, e := range need {
-				e.sub.resolve(e.idx, nil, err.Error())
-			}
-			<-sub.done
-			s.hReq.Observe(float64(time.Since(reqStart)) / float64(time.Millisecond))
-			return sub.results, sub.errs, info, err
-		}
-		s.admitLocked(t, groupKey, spec, opts, eopts[0], need, single, clientSeeded)
+	if len(need) == 0 {
+		s.mu.Unlock()
+		return results, errs, info, nil
 	}
+
+	var err error
+	if bound := min(t.quota, s.cfg.QueueCap); len(need) > bound {
+		// No amount of waiting admits this submission, so it is refused
+		// plainly: not counted as shed, and without a retry hint.
+		err = fmt.Errorf("serve[%s]: submission needs %d executions but tenant %q may queue at most %d (quota %d, queue cap %d); split it",
+			s.backend, len(need), tenant, bound, t.quota, s.cfg.QueueCap)
+	} else if t.outstanding+len(need) > t.quota || s.queued+len(need) > s.cfg.QueueCap {
+		t.shed += int64(len(need))
+		s.shedded.Add(int64(len(need)))
+		s.mShed.Add(int64(len(need)))
+		err = fmt.Errorf("serve[%s]: %w: tenant %q has %d outstanding (quota %d), %d queued (cap %d); retry_after_ms=%d",
+			s.backend, ErrOverloaded, tenant, t.outstanding, t.quota, s.queued, s.cfg.QueueCap,
+			retryAfterFor(s.queued)/time.Millisecond)
+	}
+	if err != nil {
+		s.mu.Unlock()
+		for _, e := range need {
+			if results[e.idx] == nil {
+				errs[e.idx] = err.Error()
+			}
+		}
+		return results, errs, info, err
+	}
+
+	u := &unit{tenant: t.name, spec: spec, opts: opts, elems: need, enq: time.Now(), done: make(chan struct{})}
+	s.admitLocked(t, u)
 	s.mu.Unlock()
 	s.signal()
 
-	<-sub.done
-	s.hReq.Observe(float64(time.Since(reqStart)) / float64(time.Millisecond))
-	return sub.results, sub.errs, info, nil
+	<-u.done
+	for _, e := range u.elems {
+		if results[e.idx] == nil {
+			results[e.idx], errs[e.idx] = e.res, e.err
+		}
+	}
+	return results, errs, info, nil
 }
 
-// admitLocked queues the elements that must execute. Mergeable elements
-// join an open same-group unit of their tenant when one is waiting;
-// everything else forms a new unit. Callers hold s.mu.
-func (s *Server) admitLocked(t *tenantQueue, groupKey string, spec core.CircuitSpec, opts, headOpts core.RunOptions, need []*elem, single, clientSeeded bool) {
+// admitLocked queues u at the tail of its tenant's FIFO. Callers hold s.mu.
+func (s *Server) admitLocked(t *tenantQueue, u *unit) {
 	if len(t.units) == 0 && t.outstanding == 0 {
 		// (Re)activation: start at the global virtual time so an idle tenant
 		// cannot bank credit and starve the others when it returns.
@@ -481,65 +403,13 @@ func (s *Server) admitLocked(t *tenantQueue, groupKey string, spec core.CircuitS
 			t.pass = s.vtime
 		}
 	}
-	if groupKey != "" {
-		for _, e := range need {
-			u := t.open[groupKey]
-			if u == nil || len(u.elems) >= s.cfg.MaxBatch {
-				u = &unit{tenant: t.name, groupKey: groupKey, spec: spec, opts: headOpts, enq: time.Now()}
-				t.open[groupKey] = u
-				t.units = append(t.units, u)
-			}
-			u.elems = append(u.elems, e)
-			if single && e.key != "" {
-				e.leader = true
-				s.flights[e.key] = &flight{}
-			}
-		}
-	} else {
-		dispatchOpts := opts
-		if single {
-			dispatchOpts = headOpts
-		}
-		u := &unit{tenant: t.name, spec: spec, opts: dispatchOpts, elems: need, enq: time.Now()}
-		t.units = append(t.units, u)
-		if single && clientSeeded && need[0].key != "" {
-			need[0].leader = true
-			s.flights[need[0].key] = &flight{}
-		}
-	}
-	now := time.Now()
-	for _, e := range need {
-		e.enq = now
-	}
-	t.outstanding += len(need)
-	s.queued += len(need)
+	t.units = append(t.units, u)
+	t.outstanding += len(u.elems)
+	s.queued += len(u.elems)
 	if s.queued > s.peakDepth {
 		s.peakDepth = s.queued
 	}
 	s.gDepth.Record(float64(s.queued))
-}
-
-func attachFollower(fl *flight, e *elem) {
-	fl.mu.Lock()
-	if fl.done {
-		fl.mu.Unlock()
-		e.sub.resolve(e.idx, replayOf(fl.res), fl.errStr)
-		return
-	}
-	fl.waiters = append(fl.waiters, e)
-	fl.mu.Unlock()
-}
-
-// replayOf copies a result for a second consumer. Like a cache hit, the
-// replay costs no queue or execution time, so the breakdown resets to a
-// bare cache-hit marker.
-func replayOf(res *core.Result) *core.Result {
-	if res == nil {
-		return nil
-	}
-	cp := *res
-	cp.Timings = core.Timings{CacheHit: true}
-	return &cp
 }
 
 func (s *Server) signal() {
@@ -550,7 +420,7 @@ func (s *Server) signal() {
 }
 
 // dispatcher is the scheduling loop: it waits for a free dispatch slot,
-// then picks the ready unit of the minimum-pass tenant (weighted stride
+// then picks the head unit of the minimum-pass tenant (weighted stride
 // scheduling), charges the tenant's virtual time, and dispatches it.
 // Acquiring the slot before choosing keeps every queued unit eligible until
 // the moment one can actually run, so scheduling decisions always see the
@@ -569,88 +439,48 @@ func (s *Server) dispatcher() {
 				s.mu.Unlock()
 				return
 			}
-			u, wait := s.nextUnitLocked(time.Now())
+			u := s.nextUnitLocked()
 			s.mu.Unlock()
 			if u != nil {
 				s.wg.Add(1)
 				go s.dispatch(u)
 				break
 			}
-			if wait <= 0 {
-				wait = time.Hour
-			}
-			timer := time.NewTimer(wait)
 			select {
 			case <-s.wake:
-				timer.Stop()
-			case <-timer.C:
 			case <-s.stopc:
-				timer.Stop()
 				return
 			}
 		}
 	}
 }
 
-// heldUntil reports until when u must stay queued; a time not after now
-// (the zero time included) means it is ready. Admission is work-conserving:
-// only a mergeable unit whose tenant has a same-group unit dispatched and
-// unresolved is held, so that the arrivals behind that sibling leave as one
-// batch when it resolves (its completion wakes the dispatcher). A full unit,
-// an elapsed Window, or a draining server end the hold early.
-func (s *Server) heldUntil(t *tenantQueue, u *unit) time.Time {
-	if s.draining || u.groupKey == "" || t.inflight[u.groupKey] == 0 || len(u.elems) >= s.cfg.MaxBatch {
-		return time.Time{}
-	}
-	return u.enq.Add(s.cfg.Window)
-}
-
-// nextUnitLocked removes and returns the next dispatchable unit — the
-// oldest ready unit of the minimum-pass tenant — or, when every queued unit
-// is held, the time until the first hold expires.
-func (s *Server) nextUnitLocked(now time.Time) (*unit, time.Duration) {
+// nextUnitLocked removes and returns the head unit of the minimum-pass
+// tenant, or nil when nothing is queued.
+func (s *Server) nextUnitLocked() *unit {
 	var best *tenantQueue
-	bestIdx := 0
-	wait := time.Duration(-1)
 	for _, t := range s.tenants {
-		idx := -1
-		for i, u := range t.units {
-			d := s.heldUntil(t, u).Sub(now)
-			if d <= 0 {
-				idx = i
-				break
-			}
-			if wait < 0 || d < wait {
-				wait = d
-			}
-		}
-		if idx < 0 {
+		if len(t.units) == 0 {
 			continue
 		}
 		if best == nil || t.pass < best.pass || (t.pass == best.pass && t.name < best.name) {
-			best, bestIdx = t, idx
+			best = t
 		}
 	}
 	if best == nil {
-		return nil, wait
+		return nil
 	}
-	u := best.units[bestIdx]
-	best.units = slices.Delete(best.units, bestIdx, bestIdx+1)
-	if u.groupKey != "" {
-		if best.open[u.groupKey] == u {
-			delete(best.open, u.groupKey)
-		}
-		best.inflight[u.groupKey]++
-	}
+	u := best.units[0]
+	best.units = slices.Delete(best.units, 0, 1)
 	s.vtime = best.pass
 	best.pass += float64(len(u.elems)) / float64(best.weight)
 	s.queued -= len(u.elems)
 	s.gDepth.Record(float64(s.queued))
-	return u, 0
+	return u
 }
 
-// dispatch runs one unit through the QPM as a single batch and resolves its
-// elements, populating the cache and completing single-flight followers.
+// dispatch runs one unit through the QPM as a single batch, records each
+// element's outcome (populating the cache), and releases the submission.
 func (s *Server) dispatch(u *unit) {
 	defer s.wg.Done()
 	defer func() { <-s.sem; s.signal() }()
@@ -672,87 +502,40 @@ func (s *Server) dispatch(u *unit) {
 	t := s.tenantLocked(u.tenant)
 	t.outstanding -= len(u.elems)
 	t.served += int64(len(u.elems))
-	if u.groupKey != "" {
-		// The deferred signal wakes the dispatcher for units held behind us.
-		if t.inflight[u.groupKey]--; t.inflight[u.groupKey] == 0 {
-			delete(t.inflight, u.groupKey)
-		}
-	}
 	s.mu.Unlock()
 	s.served.Add(int64(len(u.elems)))
 	s.mServed.Add(int64(len(u.elems)))
 
+	waitMS := float64(start.Sub(u.enq)) / float64(time.Millisecond)
 	for i, e := range u.elems {
-		var res *core.Result
-		errStr := ""
 		switch {
 		case err != nil:
-			errStr = err.Error()
+			e.err = err.Error()
 		case errs != nil && errs[i] != "":
-			errStr = errs[i]
+			e.err = errs[i]
 		default:
-			res = results[i]
+			e.res = results[i]
 		}
-		if res != nil {
+		if e.res != nil {
 			// Complete the breakdown with the serving-layer components the
 			// QPM cannot see; TotalMS stays the exact component sum.
-			res.Timings.CacheLookupMS = e.lookupMS
-			res.Timings.CoalesceWaitMS = float64(start.Sub(e.enq)) / float64(time.Millisecond)
-			res.Timings.TotalMS = res.Timings.Sum()
+			e.res.Timings.CacheLookupMS = e.lookupMS
+			e.res.Timings.CoalesceWaitMS = waitMS
+			e.res.Timings.TotalMS = e.res.Timings.Sum()
+			if e.key != "" {
+				s.cache.Put(e.key, e.res)
+			}
 		}
-		if errStr == "" && e.key != "" && res != nil {
-			s.cache.Put(e.key, res)
-		}
-		if e.leader {
-			s.completeFlight(e.key, res, errStr)
-		}
-		e.sub.resolve(e.idx, res, errStr)
 	}
-}
-
-func (s *Server) completeFlight(key string, res *core.Result, errStr string) {
-	s.mu.Lock()
-	fl, ok := s.flights[key]
-	if ok {
-		delete(s.flights, key)
-	}
-	s.mu.Unlock()
-	if !ok {
-		return
-	}
-	fl.mu.Lock()
-	fl.done = true
-	fl.res = res
-	fl.errStr = errStr
-	waiters := fl.waiters
-	fl.waiters = nil
-	fl.mu.Unlock()
-	for _, e := range waiters {
-		e.sub.resolve(e.idx, replayOf(res), errStr)
-	}
-}
-
-func (s *Server) failUnit(u *unit, msg string) {
-	for _, e := range u.elems {
-		if e.leader {
-			s.completeFlight(e.key, nil, msg)
-		}
-		e.sub.resolve(e.idx, nil, msg)
-	}
-	s.mu.Lock()
-	t := s.tenantLocked(u.tenant)
-	t.outstanding -= len(u.elems)
-	s.mu.Unlock()
+	close(u.done)
 }
 
 // Drain closes admission and waits up to timeout for every queued and
 // dispatched element to resolve, reporting whether the layer fully drained.
-// Holds stop applying, so units riding behind a sibling flush immediately.
 func (s *Server) Drain(timeout time.Duration) bool {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	s.signal()
 	deadline := time.Now().Add(timeout)
 	for {
 		s.mu.Lock()
@@ -771,7 +554,7 @@ func (s *Server) Drain(timeout time.Duration) bool {
 	}
 }
 
-// Close stops the scheduler, failing still-queued units. In-flight QPM
+// Close stops the scheduler, failing still-queued units. Dispatched QPM
 // batches are awaited so no dispatch goroutine outlives the server.
 func (s *Server) Close() {
 	s.mu.Lock()
@@ -782,15 +565,21 @@ func (s *Server) Close() {
 	s.closed = true
 	var orphans []*unit
 	for _, t := range s.tenants {
+		for _, u := range t.units {
+			t.outstanding -= len(u.elems)
+		}
 		orphans = append(orphans, t.units...)
 		t.units = nil
-		t.open = make(map[string]*unit)
 	}
 	s.queued = 0
 	s.mu.Unlock()
 	close(s.stopc)
+	msg := fmt.Sprintf("serve[%s]: closed", s.backend)
 	for _, u := range orphans {
-		s.failUnit(u, fmt.Sprintf("serve[%s]: closed", s.backend))
+		for _, e := range u.elems {
+			e.err = msg
+		}
+		close(u.done)
 	}
 	s.wg.Wait()
 }
@@ -805,13 +594,16 @@ type TenantStats struct {
 }
 
 // Stats is the serving layer's observable state: cache effectiveness,
-// dedup/coalescing activity, shedding, queue depths, and utilization of the
-// dispatch slots since startup.
+// dispatches, shedding, queue depths, and utilization of the dispatch
+// slots since startup.
 type Stats struct {
-	Backend        string                 `json:"backend"`
-	CacheHits      int64                  `json:"cache_hits"`
-	CacheMisses    int64                  `json:"cache_misses"`
-	CacheLen       int                    `json:"cache_len"`
+	Backend     string `json:"backend"`
+	CacheHits   int64  `json:"cache_hits"`
+	CacheMisses int64  `json:"cache_misses"`
+	CacheLen    int    `json:"cache_len"`
+	// Deduped is always 0: identical concurrent submissions each execute
+	// (single-flight deduplication was removed; no measured traffic reached
+	// it). The field stays so existing readers keep compiling.
 	Deduped        int64                  `json:"deduped"`
 	Served         int64                  `json:"served"`
 	Shed           int64                  `json:"shed"`
@@ -829,7 +621,6 @@ func (s *Server) Stats() Stats {
 		Backend:        s.backend,
 		CacheHits:      s.hits.Load(),
 		CacheMisses:    s.misses.Load(),
-		Deduped:        s.deduped.Load(),
 		Served:         s.served.Load(),
 		Shed:           s.shedded.Load(),
 		DispatchGroups: s.groups.Load(),

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,7 +14,7 @@ import (
 )
 
 // fakeExec is a deterministic batch-native executor that records every
-// dispatch, so tests can observe coalescing, dedup, and scheduling order.
+// dispatch, so tests can observe dispatch sizes and scheduling order.
 // Its results are pure functions of (spec, binding, effective options), and
 // analytic (shots=0, observable) queries ignore the seed — mirroring the
 // contract real simulators provide.
@@ -309,15 +310,19 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// ---- single-flight and coalescing ------------------------------------
+// ---- one submission, one dispatch -------------------------------------
 
-func TestSingleFlightDeduplicatesConcurrentIdenticalRuns(t *testing.T) {
+// TestConcurrentIdenticalSeededRunsAllExecute: identical seeded submissions
+// in flight together are not deduplicated. Each dispatches at once as its
+// own unit beside the others, all return the same bits, and the cache ends
+// with the one entry they share.
+func TestConcurrentIdenticalSeededRunsAllExecute(t *testing.T) {
+	const n = 4
 	f := &fakeExec{deterministic: true, gate: make(chan struct{})}
-	s := newServe(t, f, 2, Config{})
-	sp := testSpec("dedup")
+	s := newServe(t, f, n, Config{})
+	sp := testSpec("identical")
 	opts := core.RunOptions{Shots: 50, Seed: 11}
 
-	const n = 8
 	var wg sync.WaitGroup
 	results := make([]*core.Result, n)
 	for i := 0; i < n; i++ {
@@ -330,23 +335,23 @@ func TestSingleFlightDeduplicatesConcurrentIdenticalRuns(t *testing.T) {
 			}
 		}(i)
 	}
-	waitFor(t, "dispatch", func() bool { return f.calls() == 1 })
-	// Every other submission must already be riding the in-flight execution
-	// (none queued a duplicate) before we release it.
-	waitFor(t, "followers", func() bool { return s.Stats().Deduped == n-1 })
+	// Every submission reaches the executor while it is still gated: none
+	// waits behind another execution of the same spec.
+	waitFor(t, "every submission dispatched", func() bool { return f.calls() == n })
 	f.open()
 	wg.Wait()
 
-	if f.calls() != 1 {
-		t.Fatalf("executor ran %d times for %d identical submissions", f.calls(), n)
-	}
 	for i, r := range results {
 		if r == nil {
 			t.Fatalf("submission %d failed", i)
 		}
-		if *r.ExpVal != *results[0].ExpVal {
-			t.Fatalf("submission %d diverged", i)
+		if math.Float64bits(*r.ExpVal) != math.Float64bits(*results[0].ExpVal) ||
+			fmt.Sprint(r.Counts) != fmt.Sprint(results[0].Counts) {
+			t.Fatalf("submission %d diverged: %v %v vs %v %v", i, *r.ExpVal, r.Counts, *results[0].ExpVal, results[0].Counts)
 		}
+	}
+	if st := s.Stats(); st.DispatchGroups != n || st.Deduped != 0 || st.CacheLen != 1 {
+		t.Fatalf("stats %+v, want %d dispatches, no dedup, one cache entry", st, n)
 	}
 }
 
@@ -372,35 +377,35 @@ func execAsync(t *testing.T, wg *sync.WaitGroup, s *Server, tenant string, spec 
 	}()
 }
 
-// TestAdmissionWindowCoalescesAnalyticSubmissions pins the work-conserving
-// (Nagle-style) rule: the first submission of a group dispatches alone and
-// at once; the N-1 that arrive while it executes ride behind it and leave as
-// one unit the moment it resolves. The hour-long Window proves it is the
-// sibling's completion, not a timer, that releases them.
-func TestAdmissionWindowCoalescesAnalyticSubmissions(t *testing.T) {
+// TestAnalyticSubmissionsDispatchAsSeparateUnits: with a same-spec sibling
+// of the tenant still executing, later analytic submissions are not merged
+// behind it. Each is its own unit and its own QPM batch, and Window (an
+// hour here) holds nothing back.
+func TestAnalyticSubmissionsDispatchAsSeparateUnits(t *testing.T) {
 	f := &fakeExec{deterministic: true, gate: make(chan struct{})}
 	s := newServe(t, f, 2, Config{Window: time.Hour})
-	sp := testSpec("coalesce")
+	sp := testSpec("separate")
 
 	const n = 6
 	var wg sync.WaitGroup
 	execAsync(t, &wg, s, "a", sp, analyticBind(0), analyticOpts)
-	waitFor(t, "first submission dispatched alone", func() bool { return f.calls() == 1 })
+	waitFor(t, "first submission dispatched", func() bool { return f.calls() == 1 })
 	for i := 1; i < n; i++ {
 		execAsync(t, &wg, s, "a", sp, analyticBind(i), analyticOpts)
 	}
-	waitFor(t, "burst held behind the sibling", func() bool { return s.Stats().QueueDepth == n-1 })
-	if f.calls() != 1 {
-		t.Fatalf("a second unit dispatched while the sibling was in flight (batches %v)", f.sizes())
-	}
+	// The second slot takes one submission at once; the rest queue for a
+	// slot, each as its own unit.
+	waitFor(t, "second slot busy and the rest queued", func() bool {
+		return f.calls() == 2 && s.Stats().QueueDepth == n-2
+	})
 	f.open()
 	wg.Wait()
 
-	if batches := f.sizes(); len(batches) != 2 || batches[0] != 1 || batches[1] != n-1 {
-		t.Fatalf("dispatched batches %v, want [1 %d]", batches, n-1)
+	if batches := f.sizes(); len(batches) != n || slices.ContainsFunc(batches, func(k int) bool { return k != 1 }) {
+		t.Fatalf("dispatched batches %v, want %d of one element each", batches, n)
 	}
-	if st := s.Stats(); st.DispatchGroups != 2 || st.DispatchElems != n {
-		t.Fatalf("dispatched %d groups / %d elems, want 2 / %d", st.DispatchGroups, st.DispatchElems, n)
+	if st := s.Stats(); st.DispatchGroups != n || st.DispatchElems != n {
+		t.Fatalf("dispatched %d groups / %d elems, want %d / %d", st.DispatchGroups, st.DispatchElems, n, n)
 	}
 }
 
@@ -424,101 +429,6 @@ func TestIdleServerAddsNoAdmissionDelay(t *testing.T) {
 	// One scheduler hiccup must not fail the test; five in a row would.
 	if best >= 1 {
 		t.Fatalf("best CoalesceWaitMS %.3f over 5 idle requests, want < 1", best)
-	}
-}
-
-// TestSeededUnitNeverHeld: seed-scheduled units are not mergeable, so they
-// dispatch at once even while the same spec is executing — also from behind
-// a held mergeable unit of their own tenant.
-func TestSeededUnitNeverHeld(t *testing.T) {
-	f := &fakeExec{deterministic: true, gate: make(chan struct{})}
-	s := newServe(t, f, 4, Config{Window: time.Hour})
-	sp := testSpec("seeded")
-
-	var wg sync.WaitGroup
-	execAsync(t, &wg, s, "a", sp, nil, core.RunOptions{Shots: 8, Seed: 1})
-	waitFor(t, "first seeded dispatch", func() bool { return f.calls() == 1 })
-	execAsync(t, &wg, s, "a", sp, nil, core.RunOptions{Shots: 8, Seed: 2})
-	waitFor(t, "second seeded dispatch beside the first", func() bool { return f.calls() == 2 })
-
-	// An unseeded single is mergeable: its twin is held behind it...
-	execAsync(t, &wg, s, "a", sp, nil, core.RunOptions{Shots: 8})
-	waitFor(t, "unseeded dispatch", func() bool { return f.calls() == 3 })
-	execAsync(t, &wg, s, "a", sp, nil, core.RunOptions{Shots: 8})
-	waitFor(t, "unseeded twin held", func() bool { return s.Stats().QueueDepth == 1 })
-	// ...and a seeded unit queued after the held one still leaves at once.
-	execAsync(t, &wg, s, "a", sp, nil, core.RunOptions{Shots: 8, Seed: 3})
-	waitFor(t, "seeded dispatch past the held unit", func() bool { return f.calls() == 4 })
-	if depth := s.Stats().QueueDepth; depth != 1 {
-		t.Fatalf("queue depth %d, want the one held unit", depth)
-	}
-	f.open()
-	wg.Wait()
-}
-
-// TestHeldUnitLeavesAfterWindow: Window is the upper bound on riding behind
-// a sibling that is still running.
-func TestHeldUnitLeavesAfterWindow(t *testing.T) {
-	const window = 30 * time.Millisecond
-	f := &fakeExec{deterministic: true, gate: make(chan struct{})}
-	s := newServe(t, f, 2, Config{Window: window})
-	sp := testSpec("bounded")
-
-	var wg sync.WaitGroup
-	execAsync(t, &wg, s, "a", sp, analyticBind(0), analyticOpts)
-	waitFor(t, "sibling dispatch", func() bool { return f.calls() == 1 })
-	t0 := time.Now()
-	execAsync(t, &wg, s, "a", sp, analyticBind(1), analyticOpts)
-	waitFor(t, "held unit dispatched with the sibling still gated", func() bool { return f.calls() == 2 })
-	if held := time.Since(t0); held < window {
-		t.Fatalf("held unit left after %s, before Window %s elapsed", held, window)
-	}
-	f.open()
-	wg.Wait()
-}
-
-// TestTenantsNeverHoldEachOther: the hold is per tenant — another tenant's
-// in-flight unit of the same group delays nobody.
-func TestTenantsNeverHoldEachOther(t *testing.T) {
-	f := &fakeExec{deterministic: true, gate: make(chan struct{})}
-	s := newServe(t, f, 2, Config{Window: time.Hour})
-	sp := testSpec("tenants")
-
-	var wg sync.WaitGroup
-	execAsync(t, &wg, s, "alice", sp, analyticBind(0), analyticOpts)
-	waitFor(t, "alice dispatch", func() bool { return f.calls() == 1 })
-	execAsync(t, &wg, s, "bob", sp, analyticBind(1), analyticOpts)
-	waitFor(t, "bob dispatch beside alice", func() bool { return f.calls() == 2 })
-	f.open()
-	wg.Wait()
-}
-
-func TestCoalescedUnitCapsAtMaxBatch(t *testing.T) {
-	f := &fakeExec{deterministic: true}
-	s := newServe(t, f, 2, Config{Window: 150 * time.Millisecond, MaxBatch: 4})
-	sp := testSpec("maxbatch")
-	obs := &core.Observable{Fields: []float64{1, -1}}
-
-	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			bind := []core.Bindings{{"theta": float64(i) * 0.1}}
-			_, _, _, err := s.Exec("a", sp, bind, core.RunOptions{Observable: obs})
-			if err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, n := range f.batches {
-		if n > 4 {
-			t.Fatalf("dispatch of %d elements exceeds MaxBatch=4 (batches %v)", n, f.batches)
-		}
 	}
 }
 
@@ -731,33 +641,92 @@ func TestGlobalQueueCapShedsWithTypedError(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSubmissionOverAdmissionBoundIsRefused: a submission that needs more
+// executions than min(quota, QueueCap) could never be admitted, so it is
+// refused with a plain error (not a shed, no retry hint) instead of being
+// told to retry forever. One of exactly the bound is admitted.
+func TestSubmissionOverAdmissionBoundIsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		quota int // per-tenant override; 0 keeps the default (QueueCap)
+		bound int
+	}{
+		{"queue cap", 0, 8},
+		{"tenant quota", 5, 5},
+		{"quota above queue cap", 20, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := &fakeExec{deterministic: true}
+			s := newServe(t, f, 2, Config{QueueCap: 8})
+			if tc.quota > 0 {
+				s.SetTenant("t", 0, tc.quota)
+			}
+			sp := testSpec("sweep")
+			opts := core.RunOptions{Shots: 4, Seed: 3}
+			sweep := func(k int) []core.Bindings {
+				b := make([]core.Bindings, k)
+				for i := range b {
+					b[i] = core.Bindings{"t": float64(i)}
+				}
+				return b
+			}
+
+			_, _, _, err := s.Exec("t", sp, sweep(tc.bound+1), opts)
+			if err == nil {
+				t.Fatalf("submission of %d admitted over bound %d", tc.bound+1, tc.bound)
+			}
+			if IsOverloaded(err) {
+				t.Fatalf("oversized submission reported as overload: %v", err)
+			}
+			if _, ok := RetryAfterHint(err); ok {
+				t.Fatalf("oversized submission carries a retry hint: %v", err)
+			}
+			for _, want := range []string{fmt.Sprintf("needs %d executions", tc.bound+1), fmt.Sprintf("at most %d", tc.bound)} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("refusal %q does not say %q", err, want)
+				}
+			}
+			if st := s.Stats(); st.Shed != 0 || st.Tenants["t"].Shed != 0 || f.calls() != 0 {
+				t.Fatalf("refusal counted as shed or executed: %+v (calls %d)", st, f.calls())
+			}
+
+			if res := mustExec(t, s, "t", sp, sweep(tc.bound), opts); len(res) != tc.bound || f.calls() != 1 {
+				t.Fatalf("submission of exactly %d: %d results, %d executor calls", tc.bound, len(res), f.calls())
+			}
+		})
+	}
+}
+
 // ---- lifecycle --------------------------------------------------------
 
-func TestDrainFlushesWindowAndClosesAdmission(t *testing.T) {
+// TestDrainFlushesQueuedUnitsAndClosesAdmission: Drain refuses new work at
+// once, and a unit already queued behind the busy slot still runs before
+// the layer reports drained.
+func TestDrainFlushesQueuedUnitsAndClosesAdmission(t *testing.T) {
 	f := &fakeExec{deterministic: true, gate: make(chan struct{})}
-	// An hour-long window: with the sibling gated, only draining can flush
-	// the unit held behind it.
-	s := newServe(t, f, 2, Config{Window: time.Hour})
+	s := newServe(t, f, 1, Config{Inflight: 1})
 	sp := testSpec("drain")
 
 	var wg sync.WaitGroup
 	execAsync(t, &wg, s, "a", sp, nil, core.RunOptions{Shots: 8})
-	waitFor(t, "sibling dispatch", func() bool { return f.calls() == 1 })
+	waitFor(t, "first dispatch", func() bool { return f.calls() == 1 })
 	execAsync(t, &wg, s, "a", sp, nil, core.RunOptions{Shots: 8})
-	waitFor(t, "held unit", func() bool { return s.Stats().QueueDepth == 1 })
+	waitFor(t, "queued unit", func() bool { return s.Stats().QueueDepth == 1 })
 
-	drained := make(chan bool, 1)
-	go func() { drained <- s.Drain(5 * time.Second) }()
-	waitFor(t, "drain flushing the held unit", func() bool { return f.calls() == 2 })
+	if s.Drain(0) {
+		t.Fatal("drained with one unit executing and one queued")
+	}
+	_, _, _, err := s.Exec("a", sp, nil, core.RunOptions{Shots: 8})
+	if !core.IsDraining(err) {
+		t.Fatalf("submission during drain returned %v, want ErrDraining", err)
+	}
 	f.open()
-	if !<-drained {
+	if !s.Drain(5 * time.Second) {
 		t.Fatal("drain timed out with the executor released")
 	}
 	wg.Wait()
-
-	_, _, _, err := s.Exec("a", sp, nil, core.RunOptions{Shots: 8})
-	if !core.IsDraining(err) {
-		t.Fatalf("post-drain submission returned %v, want ErrDraining", err)
+	if f.calls() != 2 {
+		t.Fatalf("executor ran %d times, want 2 (the queued unit must flush)", f.calls())
 	}
 }
 
