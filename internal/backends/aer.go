@@ -142,16 +142,45 @@ func (b *aer) executeParsed(c *circuitT, plan *circuit.FusionPlan, sched *circui
 			return core.ExecResult{}, fmt.Errorf("aer/stabilizer: %w", err)
 		}
 		var ev *float64
-		if opts.Observable != nil {
-			if !opts.Observable.IsDiagonal() {
-				return core.ExecResult{}, fmt.Errorf("aer/stabilizer: only diagonal observables are estimable from counts")
+		if obs := opts.Observable; obs != nil {
+			if !obs.IsDiagonal() {
+				return core.ExecResult{}, fmt.Errorf("aer/stabilizer: only diagonal observables are supported")
 			}
-			v := opts.Observable.FromCounts(counts)
+			coeffs, zs := zTerms(obs)
+			v, err := stabilizer.ExpectationZ(c, coeffs, zs)
+			if err != nil {
+				return core.ExecResult{}, fmt.Errorf("aer/stabilizer: %w", err)
+			}
 			ev = &v
 		}
 		return core.ExecResult{Counts: counts, ExpVal: ev}, nil
 	}
 	return core.ExecResult{}, fmt.Errorf("aer: unreachable sub-backend %q", sub)
+}
+
+// zTerms flattens a diagonal observable into Z-strings over qubits, in the
+// order its energy sums in: Fields, Couplings, then Paulis.
+func zTerms(o *core.Observable) (coeffs []float64, zs [][]int) {
+	for i, f := range o.Fields {
+		if f != 0 {
+			coeffs, zs = append(coeffs, f), append(zs, []int{i})
+		}
+	}
+	for _, c := range o.Couplings {
+		if c.V != 0 {
+			coeffs, zs = append(coeffs, c.V), append(zs, []int{c.I, c.J})
+		}
+	}
+	for _, t := range o.Paulis {
+		var qs []int
+		for q := 0; q < len(t.Ops); q++ {
+			if t.Ops[q] == 'Z' {
+				qs = append(qs, q)
+			}
+		}
+		coeffs, zs = append(coeffs, t.Coeff), append(zs, qs)
+	}
+	return coeffs, zs
 }
 
 // selectAutomatic reproduces Aer's "automatic" method selection with the

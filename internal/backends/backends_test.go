@@ -243,6 +243,37 @@ func TestStabilizerRejectsNonClifford(t *testing.T) {
 	}
 }
 
+// TestStabilizerExpValByQubit: the stabilizer engine evaluates ⟨H⟩ on
+// qubits, exactly, as the dense engine does, whichever classical bits the
+// circuit measures them into. Read off the histogram by classical bit, this
+// circuit's swapped measures turn −0.75 into +0.25.
+func TestStabilizerExpValByQubit(t *testing.T) {
+	s := launch(t)
+	c := circuit.New(2)
+	c.X(0).Measure(0, 1).Measure(1, 0)
+	obs := &core.Observable{Fields: []float64{1, 0.5}, Couplings: []core.Coupling{{I: 0, J: 1, V: 0.25}}}
+	const want = -1 + 0.5 - 0.25
+	for _, sub := range []string{"stabilizer", "statevector"} {
+		f, err := s.Frontend(core.Properties{Backend: "aer", Subbackend: sub})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.Run(c, core.RunOptions{Shots: 64, Observable: obs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ExpVal == nil {
+			t.Fatalf("aer/%s: no ⟨H⟩", sub)
+		}
+		if got := *res.ExpVal; math.Abs(got-want) > 1e-12 {
+			t.Fatalf("aer/%s: ⟨H⟩ = %g, want %g", sub, got, want)
+		}
+		if sub == "stabilizer" && res.Counts["10"] != 64 {
+			t.Fatalf("aer/%s: counts %v, want all \"10\" (keyed by classical bit)", sub, res.Counts)
+		}
+	}
+}
+
 func TestUnregisteredBackendRejectedAtLaunch(t *testing.T) {
 	_, err := core.Launch(core.Config{
 		Machine:  cluster.Frontier(2),
