@@ -30,7 +30,7 @@ func main() {
 		n          = flag.Int("n", 8, "qubit count (odd for hhl)")
 		backend    = flag.String("backend", "aer", "nwqsim | aer | tnqvm | qtensor | ionq")
 		subbackend = flag.String("subbackend", "", "backend-specific engine (empty = default)")
-		shots      = flag.Int("shots", 1024, "measurement shots")
+		shots      = flag.Int("shots", 1024, "measurement shots (0 = the QPM default, 1024)")
 		nodes      = flag.Int("nodes", 0, "nodes for the execution placement (0 = schedule default)")
 		procs      = flag.Int("procs", 0, "processes per node (0 = schedule default)")
 		seed       = flag.Int64("seed", 1, "RNG seed")
@@ -99,8 +99,13 @@ func main() {
 		n   int
 	}
 	var rows []kv
+	total := 0
 	for k, v := range res.Counts {
 		rows = append(rows, kv{k, v})
+		total += v
+	}
+	if total == 0 {
+		return // an analytic reply carries no histogram
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].n > rows[j].n })
 	if len(rows) > *top {
@@ -108,7 +113,7 @@ func main() {
 	}
 	fmt.Println("counts:")
 	for _, r := range rows {
-		fmt.Printf("  %s  %6d  %5.1f%%\n", r.key, r.n, 100*float64(r.n)/float64(*shots))
+		fmt.Printf("  %s  %6d  %5.1f%%\n", r.key, r.n, 100*float64(r.n)/float64(total))
 	}
 }
 

@@ -153,13 +153,8 @@ func runMPSOne(cc *mps.Compiled, binding core.Bindings, opts core.RunOptions, de
 		v := m.ExpectationHamiltonian(obsHamiltonian(opts.Observable, cc.N))
 		ev = &v
 	}
-	shots := opts.Shots
-	if shots <= 0 {
-		shots = 1024
-	}
-	counts := m.Sample(shots, newRNG(opts))
 	return core.ExecResult{
-		Counts:   counts,
+		Counts:   m.Sample(opts.Shots, newRNG(opts)),
 		TruncErr: m.TruncErr,
 		ExpVal:   ev,
 		Extra: map[string]float64{
@@ -293,9 +288,6 @@ func simulateSV(c *circuitT, plan *circuit.FusionPlan, sched *circuit.DistSchedu
 		s, _ = statevec.RunFusedStaged(c.StripMeasurements(), plan, sched, workers, rng)
 	} else {
 		s, _ = statevec.RunFused(c.StripMeasurements(), plan, workers, rng)
-	}
-	if shots <= 0 {
-		shots = 1024
 	}
 	counts := s.SampleCounts(shots, rng)
 	var ev *float64

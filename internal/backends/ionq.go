@@ -1,6 +1,7 @@
 package backends
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -81,6 +82,11 @@ func (b *ionqBackend) checkOpts(opts core.RunOptions) error {
 	return nil
 }
 
+// estimateShots is what an analytic request (shots 0 + observable) spends
+// on the cloud path: a QPU can only sample, so ⟨H⟩ is estimated from this
+// many shots and the histogram comes back with it.
+const estimateShots = 1024
+
 // countsResult converts a cloud counts histogram into the unified result:
 // expectation values can only be shot estimates, exactly like real hardware.
 func countsResult(counts map[string]int, obs *core.Observable) (core.ExecResult, error) {
@@ -118,11 +124,7 @@ func (b *ionqBackend) ExecuteBatch(spec core.CircuitSpec, bindings []core.Bindin
 			return nil, fmt.Errorf("ionq: batch element %d: %w", i, err)
 		}
 	}
-	shots := opts.Shots
-	if shots <= 0 {
-		shots = 1024
-	}
-	ids, err := b.client.SubmitBatch(spec.Name, qasms, shots)
+	ids, err := b.client.SubmitBatch(spec.Name, qasms, cmp.Or(opts.Shots, estimateShots))
 	if err != nil {
 		return nil, fmt.Errorf("ionq: submit batch: %w", err)
 	}
@@ -150,11 +152,7 @@ func (b *ionqBackend) Execute(spec core.CircuitSpec, opts core.RunOptions) (core
 			return core.ExecResult{}, err
 		}
 	}
-	shots := opts.Shots
-	if shots <= 0 {
-		shots = 1024
-	}
-	id, err := b.client.Submit(spec.Name, spec.QASM, shots)
+	id, err := b.client.Submit(spec.Name, spec.QASM, cmp.Or(opts.Shots, estimateShots))
 	if err != nil {
 		return core.ExecResult{}, fmt.Errorf("ionq: submit: %w", err)
 	}

@@ -96,9 +96,8 @@ func (b *qtensor) executeParsed(c *circuitT, opts core.RunOptions) (core.ExecRes
 			}
 			return core.ExecResult{}, fmt.Errorf("qtensor/numpy: %w", err)
 		}
-		counts := sampleAmps(amps, c.NQubits, opts)
 		return core.ExecResult{
-			Counts: counts,
+			Counts: sampleAmps(amps, c.NQubits, opts),
 			ExpVal: expFromAmps(amps, opts.Observable),
 			Extra:  map[string]float64{"peak_rank": float64(net.PeakRank)},
 		}, nil
@@ -204,11 +203,12 @@ func expFromAmps(amps []complex128, obs *core.Observable) *float64 {
 	return &v
 }
 
-// sampleAmps draws counts from an amplitude vector.
+// sampleAmps draws opts.Shots counts from an amplitude vector (nil for an
+// analytic request).
 func sampleAmps(amps []complex128, n int, opts core.RunOptions) map[string]int {
 	shots := opts.Shots
 	if shots <= 0 {
-		shots = 1024
+		return nil
 	}
 	rng := newRNG(opts)
 	cum := make([]float64, len(amps))

@@ -38,35 +38,41 @@ func (c *Circuit) Copy() *Circuit {
 	return out
 }
 
-func (c *Circuit) checkQubits(qs ...int) {
+// check reports why g cannot join c: a qubit out of range or repeated, or
+// a qubit, parameter or matrix count that does not fit its kind.
+func (c *Circuit) check(g Gate) error {
 	seen := map[int]bool{}
-	for _, q := range qs {
+	for _, q := range g.Qubits {
 		if q < 0 || q >= c.NQubits {
-			panic(fmt.Sprintf("circuit: qubit %d out of range [0,%d)", q, c.NQubits))
+			return fmt.Errorf("circuit: qubit %d out of range [0,%d)", q, c.NQubits)
 		}
 		if seen[q] {
-			panic(fmt.Sprintf("circuit: duplicate qubit %d in one gate", q))
+			return fmt.Errorf("circuit: duplicate qubit %d in one gate", q)
 		}
 		seen[q] = true
 	}
-}
-
-// Append adds a gate, validating qubit indices and arity.
-func (c *Circuit) Append(g Gate) *Circuit {
-	c.checkQubits(g.Qubits...)
 	if want := g.Kind.NumQubits(); want != 0 && want != len(g.Qubits) {
-		panic(fmt.Sprintf("circuit: %s expects %d qubits, got %d", g.Kind.Name(), want, len(g.Qubits)))
+		return fmt.Errorf("circuit: %s expects %d qubits, got %d", g.Kind.Name(), want, len(g.Qubits))
 	}
 	if want := g.Kind.NumParams(); want != len(g.Params) {
-		panic(fmt.Sprintf("circuit: %s expects %d params, got %d", g.Kind.Name(), want, len(g.Params)))
+		return fmt.Errorf("circuit: %s expects %d params, got %d", g.Kind.Name(), want, len(g.Params))
 	}
 	if g.Kind == KindUnitary {
 		if g.Matrix == nil {
-			panic("circuit: unitary gate without matrix")
+			return fmt.Errorf("circuit: unitary gate without matrix")
 		}
 		if dim := 1 << len(g.Qubits); g.Matrix.Rows != dim || g.Matrix.Cols != dim {
-			panic(fmt.Sprintf("circuit: unitary matrix %dx%d does not match %d qubits", g.Matrix.Rows, g.Matrix.Cols, len(g.Qubits)))
+			return fmt.Errorf("circuit: unitary matrix %dx%d does not match %d qubits", g.Matrix.Rows, g.Matrix.Cols, len(g.Qubits))
 		}
+	}
+	return nil
+}
+
+// Append adds a gate, validating qubit indices and arity; an invalid gate
+// is a programming error and panics.
+func (c *Circuit) Append(g Gate) *Circuit {
+	if err := c.check(g); err != nil {
+		panic(err.Error())
 	}
 	c.Gates = append(c.Gates, g)
 	return c

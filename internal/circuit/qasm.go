@@ -201,6 +201,9 @@ func ParseQASM(src string) (*Circuit, error) {
 			if c != nil {
 				return nil, fmt.Errorf("qasm: multiple qregs are not supported")
 			}
+			if n > maxQASMQubits {
+				return nil, fmt.Errorf("qasm: qreg of %d qubits exceeds the parser's cap of %d", n, maxQASMQubits)
+			}
 			qreg = name
 			c = New(n)
 			for _, f := range pending {
@@ -285,8 +288,7 @@ func applyQASMStmt(c *Circuit, qreg, creg, stmt string) error {
 			}
 			all = append(all, qs...)
 		}
-		c.Barrier(all...)
-		return nil
+		return add(c, Gate{Kind: KindBarrier, Qubits: all})
 	}
 	if strings.HasPrefix(stmt, "reset") {
 		qs, err := parseOperand(strings.TrimSpace(stmt[len("reset"):]), qreg, c.NQubits)
@@ -341,8 +343,8 @@ func applyQASMStmt(c *Circuit, qreg, creg, stmt string) error {
 	}
 	switch name {
 	case "u2":
-		if len(params) != 2 {
-			return fmt.Errorf("qasm: u2 needs 2 params")
+		if len(params) != 2 || len(qubits) != 1 {
+			return fmt.Errorf("qasm: u2 needs 2 params and 1 qubit")
 		}
 		for _, p := range params {
 			if !p.IsBound() {
@@ -355,8 +357,8 @@ func applyQASMStmt(c *Circuit, qreg, creg, stmt string) error {
 		c.RZ(qubits[0], Bound(params[0].Const))
 		return nil
 	case "u3", "u", "U":
-		if len(params) != 3 {
-			return fmt.Errorf("qasm: u3 needs 3 params")
+		if len(params) != 3 || len(qubits) != 1 {
+			return fmt.Errorf("qasm: u3 needs 3 params and 1 qubit")
 		}
 		for _, p := range params {
 			if !p.IsBound() {
@@ -372,11 +374,23 @@ func applyQASMStmt(c *Circuit, qreg, creg, stmt string) error {
 	if !ok {
 		return fmt.Errorf("qasm: unknown gate %q", name)
 	}
-	g := Gate{Kind: kind, Qubits: qubits, Params: params}
 	if kind.NumParams() != len(params) {
 		return fmt.Errorf("qasm: gate %s got %d params, wants %d", name, len(params), kind.NumParams())
 	}
-	c.Append(g)
+	return add(c, Gate{Kind: kind, Qubits: qubits, Params: params})
+}
+
+// maxQASMQubits bounds a parsed register, so a hostile size cannot make a
+// whole-register operand allocate without limit.
+const maxQASMQubits = 1 << 16
+
+// add appends a parsed gate to c, or returns why it cannot join: input is
+// refused with an error, never by Append's panic.
+func add(c *Circuit, g Gate) error {
+	if err := c.check(g); err != nil {
+		return fmt.Errorf("qasm: %w", err)
+	}
+	c.Gates = append(c.Gates, g)
 	return nil
 }
 
@@ -399,8 +413,8 @@ func parseOperand(s, reg string, width int) ([]int, error) {
 		return nil, fmt.Errorf("qasm: unknown register %q", name)
 	}
 	idx, err := strconv.Atoi(strings.TrimSpace(s[lb+1 : rb]))
-	if err != nil {
-		return nil, fmt.Errorf("qasm: bad index in %q", s)
+	if err != nil || idx < 0 || idx >= width {
+		return nil, fmt.Errorf("qasm: bad index in %q (register width %d)", s, width)
 	}
 	return []int{idx}, nil
 }
@@ -436,6 +450,9 @@ func evalExpr(s string) (float64, error) {
 	p.skipSpace()
 	if p.pos != len(p.src) {
 		return 0, fmt.Errorf("trailing input at %d in %q", p.pos, s)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%q is not a finite angle", s)
 	}
 	return v, nil
 }
@@ -562,7 +579,7 @@ func (p *exprParser) parseAtom() (float64, error) {
 		return math.Pi, nil
 	}
 	v, err := strconv.ParseFloat(tok, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) { // ParseFloat also reads "inf" and "nan"
 		return 0, fmt.Errorf("bad number %q", tok)
 	}
 	return v, nil

@@ -271,3 +271,49 @@ func TestFrontendRequiresBackend(t *testing.T) {
 		t.Fatal("empty backend accepted")
 	}
 }
+
+// TestQPMResolvesShotDefaultOnce pins the single shot-default site: every
+// entry point hands the executor 0 for an analytic request (shots 0 with an
+// observable), 1024 for shots 0 without one, and any explicit count as is.
+func TestQPMResolvesShotDefaultOnce(t *testing.T) {
+	q := NewQPM(&fakeExec{name: "fake"}, 2, nil)
+	defer q.Close()
+	spec := bell(t)
+	obs := &Observable{Fields: []float64{1}}
+	cases := []struct {
+		opts RunOptions
+		want int
+	}{
+		{RunOptions{}, 1024},
+		{RunOptions{Shots: -3}, 1024},
+		{RunOptions{Observable: obs}, 0},
+		{RunOptions{Shots: 64}, 64},
+		{RunOptions{Shots: 64, Observable: obs}, 64},
+	}
+	for _, tc := range cases {
+		res, err := q.Exec(spec, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := q.Submit(spec, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waited, err := q.Wait(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, errs, err := q.ExecBatch(spec, []Bindings{nil, nil}, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range append([]*Result{res, waited}, batch...) {
+			if r == nil {
+				t.Fatalf("%+v: missing result (errs %v)", tc.opts, errs)
+			}
+			if got := r.Counts["00"]; got != tc.want {
+				t.Fatalf("%+v: executor received %d shots, want %d", tc.opts, got, tc.want)
+			}
+		}
+	}
+}

@@ -357,6 +357,12 @@ func (q *QPM) register(kind *jobKind, spec CircuitSpec, bindings []Bindings, opt
 	if kind == kindBatch {
 		slots = len(bindings)
 	}
+	// The one place a request's shot default is resolved: shots 0 without
+	// an observable samples 1024. With one it is an analytic query, and
+	// engines, which sample only when shots > 0, return no counts.
+	if opts.Shots <= 0 && opts.Observable == nil {
+		opts.Shots = 1024
+	}
 	// The deadline is anchored at submission, so queue wait counts against
 	// the RunOptions.TimeoutMS budget.
 	created := time.Now()

@@ -556,8 +556,12 @@ func (m *MPS) Run(c *circuit.Circuit) error {
 
 // Sample draws shots bitstrings from the MPS distribution. Keys follow the
 // Qiskit convention (qubit 0 rightmost); a routed chain permutation is
-// unwound in the keys, never in the tensors.
+// unwound in the keys, never in the tensors. shots <= 0 draws nothing and
+// returns nil.
 func (m *MPS) Sample(shots int, rng *rand.Rand) map[string]int {
+	if shots <= 0 {
+		return nil
+	}
 	m.moveCenterTo(0)
 	maxChi := 1
 	for _, t := range m.sites {
@@ -793,9 +797,6 @@ func SimulateWithExpectation(c *circuit.Circuit, shots, maxBond int, cutoff floa
 	m := New(c.NQubits, maxBond, cutoff)
 	if err := m.Run(c.StripMeasurements()); err != nil {
 		return nil, 0, nil, err
-	}
-	if shots <= 0 {
-		shots = 1024
 	}
 	var expVal *float64
 	if h != nil {

@@ -103,3 +103,47 @@ func TestMPSEngineBatchDeterminism(t *testing.T) {
 		t.Fatalf("RunGradient on the MPS engine should fail loudly")
 	}
 }
+
+// TestLocalRunnerAnalyticRequest pins LocalRunner to the executors' shot
+// contract on both engines: shots 0 with an observable returns the exact
+// ⟨H⟩ of a sampled request and no counts; shots 0 alone samples 1024.
+func TestLocalRunnerAnalyticRequest(t *testing.T) {
+	q := qubo.Random(6, 0.6, 1, rand.New(rand.NewSource(2)))
+	h, _ := q.CostHamiltonian()
+	ansatz := BuildAnsatz(h, 1)
+	obs := ObservableFromQUBO(q)
+	bindings := []core.Bindings{BindParams([]float64{0.4, 0.9}), BindParams([]float64{1.1, 0.2})}
+	for _, r := range []LocalRunner{{}, {Engine: "mps"}} {
+		analytic, err := r.RunBatch(ansatz, bindings, core.RunOptions{Seed: 3, Observable: obs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sampled, err := r.RunBatch(ansatz, bindings, core.RunOptions{Shots: 256, Seed: 3, Observable: obs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := r.Run(ansatz.Bind(bindings[0]), core.RunOptions{Seed: 3, Observable: obs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range append(analytic, single) {
+			if res.Counts != nil || res.ExpVal == nil {
+				t.Fatalf("engine %q element %d: %d counts, ExpVal %v; want none and a value", r.Engine, i, len(res.Counts), res.ExpVal)
+			}
+			if want := *sampled[i%len(bindings)].ExpVal; *res.ExpVal != want {
+				t.Fatalf("engine %q element %d: analytic <H> %v != sampled %v", r.Engine, i, *res.ExpVal, want)
+			}
+		}
+		plain, err := r.Run(ansatz.Bind(bindings[0]), core.RunOptions{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, v := range plain.Counts {
+			n += v
+		}
+		if n != 1024 {
+			t.Fatalf("engine %q: shots 0 without an observable sampled %d, want 1024", r.Engine, n)
+		}
+	}
+}

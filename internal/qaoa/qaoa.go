@@ -656,6 +656,16 @@ type LocalRunner struct {
 	Cutoff  float64
 }
 
+// localShots resolves a request's shot count the way the QPM does for
+// remote runs: shots 0 with an observable is an analytic query (no counts),
+// shots 0 without one samples 1024.
+func localShots(opts core.RunOptions) int {
+	if opts.Shots <= 0 && opts.Observable == nil {
+		return 1024
+	}
+	return opts.Shots
+}
+
 // Run implements Runner.
 func (l LocalRunner) Run(c *circuit.Circuit, opts core.RunOptions) (*core.Result, error) {
 	w := l.Workers
@@ -667,10 +677,7 @@ func (l LocalRunner) Run(c *circuit.Circuit, opts core.RunOptions) (*core.Result
 		seed = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	shots := opts.Shots
-	if shots <= 0 {
-		shots = 1024
-	}
+	shots := localShots(opts)
 	if l.Engine == "mps" {
 		cc, err := mps.CompileCircuit(c)
 		if err != nil {
@@ -737,11 +744,7 @@ func (l LocalRunner) RunBatch(c *circuit.Circuit, bindings []core.Bindings, opts
 			if seed == 0 {
 				seed = 1
 			}
-			shots := elemOpts.Shots
-			if shots <= 0 {
-				shots = 1024
-			}
-			results[i], errs[i] = l.mpsResult(cc, bindings[i], shots, rand.New(rand.NewSource(seed)), elemOpts.Observable, 1)
+			results[i], errs[i] = l.mpsResult(cc, bindings[i], localShots(elemOpts), rand.New(rand.NewSource(seed)), elemOpts.Observable, 1)
 			return
 		}
 		bound := c.Bind(bindings[i])

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -170,4 +171,62 @@ func TestOverloadErrorSurvivesRPC(t *testing.T) {
 		t.Fatalf("client-side shed error carries no retry hint: %v", err)
 	}
 	f.open()
+}
+
+// TestAnalyticFillAndReplayShipNoCounts pins serve_hot's replay check on an
+// analytic batch against the real aer executor, over the session's RPC: the
+// fill and its cache replay both carry an ExpVal and no histogram, and their
+// canonical payloads are byte-equal.
+func TestAnalyticFillAndReplayShipNoCounts(t *testing.T) {
+	sess, err := core.Launch(core.Config{Machine: cluster.Frontier(2), Backends: []string{"aer"}, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Teardown()
+	srv := New(sess.QPM("aer"), Config{}, sess.Rec)
+	defer srv.Close()
+	sess.RegisterService(ServiceName("aer"), srv)
+	conn, err := sess.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := NewClient(conn, "aer", "alice")
+
+	p := circuit.New(3)
+	p.H(0).RZ(0, circuit.Sym("theta", 1)).CX(0, 1).RY(2, circuit.Sym("theta", 0.5)).CX(1, 2)
+	p.MeasureAll()
+	p.Name = "analytic-sweep"
+	spec, err := core.SpecFromParametric(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bindings := []core.Bindings{{"theta": 0.2}, {"theta": 0.9}}
+	opts := core.RunOptions{Subbackend: "statevector", Observable: &core.Observable{Fields: []float64{1, -0.5, 0.25}}}
+	payload := func(out []*core.Result) string {
+		type row struct {
+			Counts map[string]int `json:"counts"`
+			ExpVal *float64       `json:"expval"`
+		}
+		rows := make([]row, len(out))
+		for i, r := range out {
+			if r.Counts != nil || r.ExpVal == nil {
+				t.Fatalf("element %d: %d counts, ExpVal %v; want none and a value", i, len(r.Counts), r.ExpVal)
+			}
+			rows[i] = row{r.Counts, r.ExpVal}
+		}
+		b, _ := json.Marshal(rows)
+		return string(b)
+	}
+
+	fill, errs, info, err := cl.RunBatch(spec, bindings, opts)
+	if err != nil || info.CacheHits != 0 {
+		t.Fatalf("fill: err %v, errs %v, %d hits", err, errs, info.CacheHits)
+	}
+	replay, errs, info, err := cl.RunBatch(spec, bindings, opts)
+	if err != nil || info.CacheHits != len(bindings) {
+		t.Fatalf("replay: err %v, errs %v, %d hits", err, errs, info.CacheHits)
+	}
+	if a, b := payload(fill), payload(replay); a != b {
+		t.Fatalf("replay payload %s != fill %s", b, a)
+	}
 }

@@ -325,19 +325,21 @@ func (s *Server) Exec(tenant string, spec core.CircuitSpec, bindings []core.Bind
 		if e.key != "" {
 			lookStart := time.Now()
 			res, ok := s.cache.Get(e.key)
-			lookMS := float64(time.Since(lookStart)) / float64(time.Millisecond)
+			lookEnd := time.Now()
 			if ok {
 				s.hits.Add(1)
 				s.mHits.Inc()
 				info.CacheHits++
-				// A hit's entire cost is the lookup: report it instead of a
-				// zeroed breakdown so clients can still reconcile TotalMS.
-				res.Timings.CacheLookupMS = lookMS
+				// A hit's entire cost is the lookup — key derivation, the
+				// lock and the probe, all since the request arrived: report
+				// it instead of a zeroed breakdown so clients can still
+				// reconcile TotalMS.
+				res.Timings.CacheLookupMS = float64(lookEnd.Sub(reqStart)) / float64(time.Millisecond)
 				res.Timings.TotalMS = res.Timings.Sum()
 				results[e.idx] = res
 				continue
 			}
-			e.lookupMS = lookMS
+			e.lookupMS = float64(lookEnd.Sub(lookStart)) / float64(time.Millisecond)
 			s.misses.Add(1)
 			s.mMisses.Inc()
 		}

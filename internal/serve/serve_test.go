@@ -195,6 +195,35 @@ func TestSeededRunReplaysFromCache(t *testing.T) {
 	}
 }
 
+// TestHitLookupCoversTheWholeHit: a cache hit reports its whole cost —
+// key derivation, lock and probe — as CacheLookupMS, so over many hits its
+// median is most of the median wall time of Server.Exec itself.
+func TestHitLookupCoversTheWholeHit(t *testing.T) {
+	f := &fakeExec{deterministic: true}
+	s := newServe(t, f, 1, Config{})
+	sp := testSpec("hit-timing")
+	opts := core.RunOptions{Shots: 128, Seed: 7, Observable: &core.Observable{Fields: []float64{1, -1}}}
+	mustExec(t, s, "a", sp, nil, opts)
+	const hits = 201
+	lookup := make([]float64, hits)
+	wall := make([]float64, hits)
+	for i := range hits {
+		t0 := time.Now()
+		res := mustExec(t, s, "a", sp, nil, opts)
+		wall[i] = float64(time.Since(t0)) / float64(time.Millisecond)
+		tm := res[0].Timings
+		if !tm.CacheHit || tm.TotalMS != tm.Sum() {
+			t.Fatalf("hit %d: timings %+v", i, tm)
+		}
+		lookup[i] = tm.CacheLookupMS
+	}
+	slices.Sort(lookup)
+	slices.Sort(wall)
+	if l, w := lookup[hits/2], wall[hits/2]; l < w/2 {
+		t.Fatalf("median hit lookup %.6f ms is under half the median Exec wall %.6f ms", l, w)
+	}
+}
+
 func TestUnseededSampledNeverCached(t *testing.T) {
 	f := &fakeExec{deterministic: true}
 	s := newServe(t, f, 2, Config{})

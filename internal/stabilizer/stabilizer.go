@@ -240,7 +240,8 @@ func (t *Tableau) ApplyGate(g circuit.Gate, rng *rand.Rand, cbits []int) error {
 	return nil
 }
 
-// Simulate runs a Clifford circuit for the requested shots. The gates before
+// Simulate runs a Clifford circuit for the requested shots (none, and nil
+// counts, when shots <= 0). The gates before
 // the first Measure or Reset run once, on a tableau every shot shares. What
 // follows them picks the path:
 //   - nothing but Measure, Barrier and I gates (terminal measurement, or none
@@ -258,7 +259,7 @@ func Simulate(c *circuit.Circuit, shots int, rng *rand.Rand) (map[string]int, er
 		return nil, fmt.Errorf("stabilizer: circuit %q contains non-Clifford gates", c.Name)
 	}
 	if shots <= 0 {
-		shots = 1024
+		return nil, nil
 	}
 	base, rest := prefix(c)
 	if terminal(rest) {

@@ -61,7 +61,7 @@ type DistBatch struct {
 	Circuit  *circuit.Circuit
 	Plan     *circuit.FusionPlan // optional: cached plan of Circuit.StripMeasurements()
 	Bindings []map[string]float64
-	Shots    int
+	Shots    int     // <= 0: expectation only, no counts
 	Seeds    []int64 // per-element RNG seeds; element i defaults to i+1 when nil
 	Workers  int     // kernel workers per rank shard (<=0 means 1)
 	Obs      DistObs
@@ -463,9 +463,6 @@ func RunDistributedCircuit(comm *mpi.Comm, c *circuit.Circuit, plan *circuit.Fus
 		v := d.expectationDiagonal(obs.Diag)
 		expVal = &v
 	}
-	if shots <= 0 {
-		shots = 1024
-	}
 	return d.sample(shots, seed), expVal, nil
 }
 
@@ -532,10 +529,6 @@ func RunDistributedBatch(w *mpi.World, req DistBatch) ([]DistResult, error) {
 		}
 		execs[i] = compileDist(bc, plan, nLocal)
 	}
-	shots := req.Shots
-	if shots <= 0 {
-		shots = 1024
-	}
 	results := make([]DistResult, k)
 	runErr := w.Run(func(comm *mpi.Comm) error {
 		for i := range execs {
@@ -554,7 +547,7 @@ func RunDistributedBatch(w *mpi.World, req DistBatch) ([]DistResult, error) {
 			if req.Seeds != nil {
 				seed = req.Seeds[i]
 			}
-			counts := d.sample(shots, seed)
+			counts := d.sample(req.Shots, seed)
 			if comm.Rank() == 0 {
 				results[i] = DistResult{Counts: counts, ExpVal: expVal}
 			}
@@ -669,6 +662,9 @@ func (d *distState) gatherProgram() []complex128 {
 // physical per-rank masses, so different P or a different final layout
 // yields a different — equally valid — histogram).
 func (d *distState) sample(shots int, seed int64) map[string]int {
+	if shots <= 0 { // every rank sees the same shots, so all skip the collectives
+		return nil
+	}
 	var localMass float64
 	prob := getF64Buf(d.nLocal)
 	for i, a := range d.amp {

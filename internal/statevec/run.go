@@ -93,9 +93,6 @@ func Simulate(c *circuit.Circuit, shots, workers int, rng *rand.Rand) map[string
 		workers = CurrentTuning().Workers
 	}
 	s, _ := RunFused(c.StripMeasurements(), nil, workers, rng)
-	if shots <= 0 {
-		shots = 1024
-	}
 	counts := s.SampleCounts(shots, rng)
 	s.Release()
 	return counts

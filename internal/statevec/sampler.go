@@ -3,13 +3,17 @@ package statevec
 import "math/rand"
 
 // SampleCounts draws shots samples from the final state distribution and
-// returns a histogram keyed by bitstring (qubit 0 is the rightmost char).
+// returns a histogram keyed by bitstring (qubit 0 is the rightmost char),
+// or nil when shots <= 0: an analytic request draws nothing.
 //
 // Sampling uses Vose's alias method: one O(2^n) table build (the same
 // asymptotic cost the old cumulative array paid) followed by O(1) per shot,
 // replacing the per-shot O(n) binary search. All working buffers come from
 // the arena, so batched executions sample without reallocating.
 func (s *State) SampleCounts(shots int, rng *rand.Rand) map[string]int {
+	if shots <= 0 {
+		return nil
+	}
 	prob := getF64Buf(s.N)
 	total := fillProbs(prob, s.Amp, s.Workers)
 	if total <= 0 {

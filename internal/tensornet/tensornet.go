@@ -505,13 +505,13 @@ func Simulate(c *circuit.Circuit, shots int, rng *rand.Rand) (map[string]int, er
 	if err != nil {
 		return nil, err
 	}
-	if shots <= 0 {
-		shots = 1024
-	}
 	return sampleAmplitudes(amps, c.NQubits, shots, rng), nil
 }
 
 func sampleAmplitudes(amps []complex128, n, shots int, rng *rand.Rand) map[string]int {
+	if shots <= 0 {
+		return nil
+	}
 	cum := make([]float64, len(amps))
 	var acc float64
 	for i, a := range amps {
