@@ -2,7 +2,8 @@
 // figure of the paper's evaluation: workload sweeps across all integrated
 // backends (Figs. 3a-3d), the QAOA runtime/fidelity sweep (Figs. 3e-3f),
 // the DQAOA configuration study (Fig. 4), the iteration-level timeline
-// (Fig. 5), and the capability/benchmark catalogs (Tables 1-2).
+// (Fig. 5), and the capability/benchmark catalogs (Tables 1-2), plus the
+// three engine ablations whose records calibrate the cost model.
 package bench
 
 import "fmt"
@@ -104,70 +105,70 @@ var DQAOAQuickConfigs = []DQAOAConfig{
 	{QUBOSize: 20, SubQSize: 8, NSubQ: 3},
 }
 
-// AblationSpec is one design-choice ablation tracked by the bench
-// trajectory alongside the paper's tables and figures.
-type AblationSpec struct {
-	Name     string
-	Ks       []int // batch sizes swept (batch ablation)
-	Sizes    []int // qubit counts swept (kernel ablations)
-	Ps       []int // rank counts swept (distributed ablations)
-	Describe string
+// ExperimentSpec is one row of the experiment table qfwbench runs from.
+type ExperimentSpec struct {
+	ID       string
+	Describe string // the question the experiment answers
+	Sizes    []int  // full-size qubit sweep, for experiments that own one
+	// Artifact is the JSON record a -full run writes (empty: none). Every
+	// committed record was taken at full size, so a quick run writes
+	// nothing and cannot overwrite one.
+	Artifact string
+	Run      func(h *Harness) (*Experiment, error)
 }
 
-// AblationCatalog lists the tracked ablations. batch-vs-sequential is the
-// batched-execution pipeline's speedup entry: the same p=2 QAOA parameter
-// sweep (identical seeds both paths) evaluated once through per-circuit
-// submission and once through a single submit_batch RPC. gate-fusion is the
-// fused statevector engine's entry: identical QAOA/TFIM/GHZ circuits run
-// through the unfused per-gate kernels and through the fused program
-// (merged 1q/2q blocks, hoisted diagonal layers, specialized kernels).
-var AblationCatalog = []AblationSpec{
-	{
-		Name:     "batch-vs-sequential",
-		Ks:       []int{1, 2, 4, 8, 16},
-		Describe: "p=2 QAOA parameter sweep: K bound submissions vs one parametric batch (same seeds both paths)",
-	},
-	{
-		Name:     "gate-fusion",
-		Sizes:    []int{12, 14, 16},
-		Describe: "QAOA/TFIM/GHZ statevector execution: per-gate kernels vs fused program (same circuits, same seeds)",
-	},
-	{
-		Name:     "distributed-fusion",
-		Ps:       []int{1, 2, 4, 8},
-		Describe: "QAOA p=2 / TFIM over P ranks: fused stage engine (remap exchanges) vs single-rank fused, bytes counted by the mpi payload model",
-	},
-	{
-		Name:     "gradient-methods",
-		Sizes:    []int{10},
-		Describe: "QAOA p=2 / VQLS hybrid loops: adjoint-gradient Adam vs parameter-shift Adam vs Nelder-Mead, run to the Nelder-Mead objective as the shared convergence target, circuit-equivalent evaluations counted per method",
-	},
-	{
-		Name:     "mps-engine",
-		Ks:       []int{8},
-		Sizes:    []int{16, 24, 48},
-		Describe: "TFIM / ring-QAOA batches of K=8 on the MPS engine: compiled+batched schedule vs the per-gate seed path, with the fused statevector engine at the crossover sizes",
-	},
-	{
-		Name:     "engine-routing",
-		Sizes:    []int{7, 10, 12, 16, 20, 32, 48},
-		Describe: "Heterogeneous workload mix (GHZ/HamSim/HHL/QAOA/TFIM/ring-QAOA across the SV and MPS regimes): cost-model routed execution vs every pinned single-engine choice (same circuits, same seeds)",
-	},
-	{
-		Name:     "blocked-kernel",
-		Sizes:    []int{16, 18, 20, 22, 24, 26},
-		Describe: "Deep QAOA/TFIM statevector execution on one core: cache-blocked stage engine (SoA tiles, SIMD kernels) vs per-op fused vs per-gate seed kernels (same circuits, same seeds, depth sweep)",
-	},
-	{
-		Name:     "fault-injection",
-		Ks:       []int{64},
-		Describe: "64-element parametric sweep through a seeded fault injector at rising per-element transient-failure rates: retry + degrade-to-element recovery vs a single-attempt policy, plus a dead-primary fallback re-routing probe",
-	},
-	{
-		Name:     "observability",
-		Ks:       []int{1},
-		Describe: "Deep-TFIM hot set with the result cache disabled (every request executes) from K serial clients: telemetry core on vs QFW_OBS=off in interleaved paired reps, measuring the span/metric instrumentation overhead at the request-latency floor",
-	},
+// Experiments is the experiment table, in run order: the paper's tables and
+// figures, then the three engine studies the end-to-end benchmark cannot
+// isolate, whose records are also fit-cost's inputs. It is filled in init
+// because the table2 row lists the table itself.
+var Experiments []ExperimentSpec
+
+func init() {
+	fig := func(id, workload string) func(*Harness) (*Experiment, error) {
+		return func(h *Harness) (*Experiment, error) { return h.RunWorkloadFigure(id, workload) }
+	}
+	Experiments = []ExperimentSpec{
+		{ID: "table1", Describe: "which backends exist, and where the router sends the route mix",
+			Run: (*Harness).RunCapabilityTable},
+		{ID: "table2", Describe: "the benchmarks, their sizes and the DQAOA configurations",
+			Run: func(h *Harness) (*Experiment, error) { return h.RunBenchmarkCatalog(), nil }},
+		{ID: "fig3a", Describe: "GHZ runtime vs size on every backend", Run: fig("fig3a", "ghz")},
+		{ID: "fig3b", Describe: "Hamiltonian-simulation runtime vs size on every backend", Run: fig("fig3b", "ham")},
+		{ID: "fig3c", Describe: "TFIM runtime vs size on every backend", Run: fig("fig3c", "tfim")},
+		{ID: "fig3c-strong", Describe: "do more processes speed up a fixed-size TFIM (state vector yes, MPS no)",
+			Run: func(h *Harness) (*Experiment, error) {
+				if h.Quick {
+					return h.RunStrongScaling(12, []int{1, 2, 4, 8})
+				}
+				// TFIM-28 needs 4 GiB of amplitudes; 22 fits the default budget.
+				return h.RunStrongScaling(22, []int{1, 2, 4, 8, 16})
+			}},
+		{ID: "fig3d", Describe: "HHL runtime vs size on every backend", Run: fig("fig3d", "hhl")},
+		{ID: "fig3e", Describe: "QAOA runtime vs QUBO size",
+			Run: func(h *Harness) (*Experiment, error) { return h.qaoaFigure(0) }},
+		{ID: "fig3f", Describe: "QAOA solution fidelity vs QUBO size (paper: >= 95%)",
+			Run: func(h *Harness) (*Experiment, error) { return h.qaoaFigure(1) }},
+		{ID: "fig4", Describe: "DQAOA total time per configuration, local MPI vs cloud",
+			Run: (*Harness).RunDQAOAFigure},
+		{ID: "fig5", Describe: "how many sub-QAOAs overlap in one DQAOA run, local vs cloud",
+			Run: func(h *Harness) (*Experiment, error) {
+				cfg := DQAOAConfig{QUBOSize: 16, SubQSize: 6, NSubQ: 4}
+				if !h.Quick {
+					cfg = DQAOAConfig{QUBOSize: 40, SubQSize: 12, NSubQ: 4}
+				}
+				exp, _, err := h.RunTimelineFigure(cfg)
+				return exp, err
+			}},
+		{ID: "ablation-kernel", Sizes: kernelSizes, Artifact: "BENCH_kernel.json",
+			Describe: "one core, deep QAOA/TFIM: cache-blocked stages vs per-op fused vs per-gate kernels",
+			Run:      (*Harness).RunKernelAblation},
+		{ID: "ablation-mps", Sizes: mpsSizes, Artifact: "BENCH_mps.json",
+			Describe: "K=8 TFIM / ring-QAOA batches: compiled+batched MPS vs per-gate MPS, dense state vector to the crossover",
+			Run:      (*Harness).RunMPSAblation},
+		{ID: "ablation-route", Artifact: "BENCH_route.json",
+			Describe: "the route mix (GHZ-12 to TFIM-48) routed by the cost model vs pinned to each engine",
+			Run:      (*Harness).RunRouteAblation},
+	}
 }
 
 // PlacementFor reproduces the paper's (#N, #P) schedule: placements grow

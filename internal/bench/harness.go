@@ -10,7 +10,6 @@ import (
 	"qfw/internal/circuit"
 	"qfw/internal/core"
 	"qfw/internal/dqaoa"
-	"qfw/internal/mpi"
 	"qfw/internal/mps"
 	"qfw/internal/optimize"
 	"qfw/internal/qaoa"
@@ -27,9 +26,6 @@ type Point struct {
 	RuntimeMS  float64 `json:"runtime_ms"`
 	StdMS      float64 `json:"std_ms"`
 	Fidelity   float64 `json:"fidelity,omitempty"`
-	Bytes      int64   `json:"bytes,omitempty"`     // modelled cross-rank wire bytes
-	Evals      int     `json:"evals,omitempty"`     // circuit-equivalent evaluations spent
-	Objective  float64 `json:"objective,omitempty"` // final objective value reached
 	Infeasible bool    `json:"infeasible,omitempty"`
 	Err        string  `json:"err,omitempty"`
 
@@ -37,15 +33,6 @@ type Point struct {
 	// the chosen route (routing ablation only): the predicted-vs-actual
 	// record of the calibration.
 	PredictedMS float64 `json:"predicted_ms,omitempty"`
-
-	// Serving-layer ablation fields: per-request latency floor and
-	// percentiles, sustained request throughput, and typed load-shed counts
-	// under the multi-client load generator.
-	MinMS      float64 `json:"min_ms,omitempty"`
-	P50MS      float64 `json:"p50_ms,omitempty"`
-	P99MS      float64 `json:"p99_ms,omitempty"`
-	Throughput float64 `json:"throughput_rps,omitempty"`
-	Shed       int     `json:"shed,omitempty"`
 }
 
 // Series is one backend line of a figure.
@@ -74,6 +61,8 @@ type Harness struct {
 	// SizeOverride, when non-empty, replaces the workload size list
 	// (cmd/qfwbench -sizes) for partial paper-scale sweeps.
 	SizeOverride []int
+
+	qaoaFig []*Experiment // fig3e and fig3f, which one sweep produces
 }
 
 // NewHarness wraps a session with the paper's defaults.
@@ -100,12 +89,12 @@ func (h *Harness) specFor(name string) WorkloadSpec {
 	panic("bench: unknown workload " + name)
 }
 
-// timedRun executes a circuit `repeats` times and returns mean/std in ms.
-func (h *Harness) timedRun(sel BackendSel, build func() (*core.Result, error)) (mean, std float64, err error) {
+// timedRun executes run `repeats` times and returns mean/std in ms.
+func (h *Harness) timedRun(run func() error) (mean, std float64, err error) {
 	var samples []float64
 	for r := 0; r < h.Repeats; r++ {
 		start := time.Now()
-		if _, err := build(); err != nil {
+		if err := run(); err != nil {
 			return 0, 0, err
 		}
 		samples = append(samples, float64(time.Since(start))/float64(time.Millisecond))
@@ -151,8 +140,9 @@ func (h *Harness) RunWorkloadFigure(figID, workload string) (*Experiment, error)
 				Shots: h.Shots, Seed: h.Seed,
 				Nodes: pl.Nodes, ProcsPerNode: pl.Procs,
 			}
-			mean, std, runErr := h.timedRun(sel, func() (*core.Result, error) {
-				return front.Run(circ, opts)
+			mean, std, runErr := h.timedRun(func() error {
+				_, err := front.Run(circ, opts)
+				return err
 			})
 			pt := Point{X: n, Placement: pl.String(), RuntimeMS: mean, StdMS: std}
 			if runErr != nil {
@@ -197,8 +187,9 @@ func (h *Harness) RunStrongScaling(n int, procCounts []int) (*Experiment, error)
 				nodes = 2
 			}
 			opts := core.RunOptions{Shots: h.Shots, Seed: h.Seed, Nodes: nodes, ProcsPerNode: p / nodes}
-			mean, std, runErr := h.timedRun(sel, func() (*core.Result, error) {
-				return front.Run(circ, opts)
+			mean, std, runErr := h.timedRun(func() error {
+				_, err := front.Run(circ, opts)
+				return err
 			})
 			pt := Point{X: p, Placement: fmt.Sprintf("(%d,%d)", nodes, p/nodes), RuntimeMS: mean, StdMS: std}
 			if runErr != nil {
@@ -262,6 +253,19 @@ func (h *Harness) RunQAOAFigure() (runtimeExp, fidelityExp *Experiment, err erro
 		fidelityExp.Series = append(fidelityExp.Series, fid)
 	}
 	return runtimeExp, fidelityExp, nil
+}
+
+// qaoaFigure returns fig3e (i=0) or fig3f (i=1), running the shared QAOA
+// sweep once per harness.
+func (h *Harness) qaoaFigure(i int) (*Experiment, error) {
+	if h.qaoaFig == nil {
+		rt, fid, err := h.RunQAOAFigure()
+		if err != nil {
+			return nil, err
+		}
+		h.qaoaFig = []*Experiment{rt, fid}
+	}
+	return h.qaoaFig[i], nil
 }
 
 // RunDQAOAFigure reproduces Fig. 4: total DQAOA time per (QUBO size,
@@ -369,171 +373,6 @@ func (h *Harness) RunTimelineFigure(cfgSpec DQAOAConfig) (*Experiment, map[strin
 	return exp, recorders, nil
 }
 
-// RunBatchAblation measures the batch-vs-sequential ablation of the
-// catalog: the same p=2 QAOA parameter sweep evaluated through K individual
-// submit RPCs (one fully bound circuit each) and through one submit_batch
-// RPC carrying the symbolic ansatz plus K bindings. Seeds are identical on
-// both paths, so only the pipeline differs. The cloud series isolates the
-// round-trip economics (the paper's Fig. 5 motivation); the local series
-// isolates parse amortization.
-func (h *Harness) RunBatchAblation() (*Experiment, error) {
-	spec := AblationCatalog[0]
-	exp := &Experiment{
-		ID:    "ablation-batch",
-		Title: "Batched vs per-circuit QAOA evaluation (" + spec.Describe + ")",
-		Notes: "X axis is the batch size K; both series run the identical parameter sweep with identical seeds.",
-	}
-	rng := rand.New(rand.NewSource(h.Seed + 41))
-	q := qubo.Random(8, 0.5, 1.0, rng)
-	ham, _ := q.CostHamiltonian()
-	ansatz := qaoa.BuildAnsatz(ham, 2)
-	for _, sel := range []BackendSel{
-		{Backend: "aer", Subbackend: "statevector"},
-		{Backend: "ionq", Subbackend: "simulator"},
-	} {
-		front, err := h.Session.Frontend(core.Properties{Backend: sel.Backend, Subbackend: sel.Subbackend})
-		if err != nil {
-			return nil, err
-		}
-		seq := Series{Label: sel.Label() + " sequential"}
-		bat := Series{Label: sel.Label() + " batched"}
-		for _, k := range spec.Ks {
-			prng := rand.New(rand.NewSource(h.Seed + int64(k)))
-			bindings := make([]core.Bindings, k)
-			for i := range bindings {
-				params := make([]float64, 4) // p=2: two gammas, two betas
-				for j := range params {
-					params[j] = 0.1 + 0.8*prng.Float64()
-				}
-				bindings[i] = qaoa.BindParams(params)
-			}
-			opts := core.RunOptions{Shots: h.Shots, Seed: h.Seed}
-
-			start := time.Now()
-			for i, b := range bindings {
-				if _, err := front.Run(ansatz.Bind(b), opts.ForElement(i)); err != nil {
-					return nil, fmt.Errorf("sequential K=%d: %w", k, err)
-				}
-			}
-			seqMS := float64(time.Since(start)) / float64(time.Millisecond)
-
-			start = time.Now()
-			if _, err := front.RunBatch(ansatz, bindings, opts); err != nil {
-				return nil, fmt.Errorf("batched K=%d: %w", k, err)
-			}
-			batMS := float64(time.Since(start)) / float64(time.Millisecond)
-
-			seq.Points = append(seq.Points, Point{X: k, Placement: fmt.Sprintf("K=%d", k), RuntimeMS: seqMS})
-			bat.Points = append(bat.Points, Point{X: k, Placement: fmt.Sprintf("K=%d", k), RuntimeMS: batMS})
-		}
-		exp.Series = append(exp.Series, seq, bat)
-	}
-	return exp, nil
-}
-
-// pinGOMAXPROCS pins the scheduler width for the duration of one ablation
-// and returns the restore function. Every timing ablation states its
-// parallelism intent through this helper at entry — previously each
-// experiment read whatever GOMAXPROCS the process happened to have, so a
-// pinned single-core study leaked its setting into the multi-core studies
-// that ran after it (and vice versa).
-func pinGOMAXPROCS(n int) func() {
-	prev := runtime.GOMAXPROCS(n)
-	return func() { runtime.GOMAXPROCS(prev) }
-}
-
-// ablationWorkload builds the bound, measurement-stripped circuit of one
-// kernel-ablation workload. The gate-fusion and distributed-fusion studies
-// share these recipes so their numbers stay comparable.
-func (h *Harness) ablationWorkload(kind string, n int) (*circuit.Circuit, error) {
-	switch kind {
-	case "qaoa":
-		rng := rand.New(rand.NewSource(h.Seed + int64(n)))
-		q := qubo.Random(n, 0.5, 1.0, rng)
-		ham, _ := q.CostHamiltonian()
-		ansatz := qaoa.BuildAnsatz(ham, 2)
-		prng := rand.New(rand.NewSource(h.Seed + 7))
-		params := make([]float64, 4)
-		for j := range params {
-			params[j] = 0.1 + 0.8*prng.Float64()
-		}
-		return ansatz.Bind(qaoa.BindParams(params)).StripMeasurements(), nil
-	case "tfim":
-		return workloads.TFIM(n, 4, 0.5, 1.0).StripMeasurements(), nil
-	case "ghz":
-		return workloads.GHZ(n).StripMeasurements(), nil
-	}
-	return nil, fmt.Errorf("bench: unknown ablation workload %q", kind)
-}
-
-// RunFusionAblation measures the gate-fusion ablation of the catalog: the
-// same bound QAOA/TFIM/GHZ circuits executed through the unfused per-gate
-// statevector kernels (statevec.RunCircuit — the seed engine's path) and
-// through the fused program (statevec.RunFused: merged 1q/2q blocks, hoisted
-// diagonal cost layers, specialized permutation/diagonal kernels, pooled
-// buffers, alias sampling). Both paths use identical circuits, worker counts
-// and RNG seeds, so only the execution engine differs.
-func (h *Harness) RunFusionAblation() (*Experiment, error) {
-	var spec AblationSpec
-	for _, ab := range AblationCatalog {
-		if ab.Name == "gate-fusion" {
-			spec = ab
-		}
-	}
-	exp := &Experiment{
-		ID:    "ablation-fusion",
-		Title: "Fused vs per-gate statevector execution (" + spec.Describe + ")",
-		Notes: "X axis is the qubit count; each pair of series runs the identical circuit and seed, unfused vs fused.",
-	}
-	workers := runtime.NumCPU()
-	defer pinGOMAXPROCS(workers)()
-	shots := h.Shots
-	if shots <= 0 {
-		shots = 256
-	}
-	var fusedTotal, unfusedTotal float64
-	for _, kind := range []string{"qaoa", "tfim", "ghz"} {
-		unfused := Series{Label: kind + " unfused"}
-		fused := Series{Label: kind + " fused"}
-		for _, n := range spec.Sizes {
-			c, err := h.ablationWorkload(kind, n)
-			if err != nil {
-				return nil, err
-			}
-			plan := circuit.PlanFusion(c)
-			um, us, err := h.timedRun(BackendSel{}, func() (*core.Result, error) {
-				rng := rand.New(rand.NewSource(h.Seed))
-				s, _ := statevec.RunCircuit(c, workers, rng)
-				s.SampleCounts(shots, rng)
-				s.Release()
-				return nil, nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			fm, fs, err := h.timedRun(BackendSel{}, func() (*core.Result, error) {
-				rng := rand.New(rand.NewSource(h.Seed))
-				s, _ := statevec.RunFused(c, plan, workers, rng)
-				s.SampleCounts(shots, rng)
-				s.Release()
-				return nil, nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			unfusedTotal += um
-			fusedTotal += fm
-			unfused.Points = append(unfused.Points, Point{X: n, Placement: fmt.Sprintf("(1,%d)", workers), RuntimeMS: um, StdMS: us})
-			fused.Points = append(fused.Points, Point{X: n, Placement: fmt.Sprintf("(1,%d)", workers), RuntimeMS: fm, StdMS: fs})
-		}
-		exp.Series = append(exp.Series, unfused, fused)
-	}
-	if fusedTotal > 0 {
-		exp.Notes += fmt.Sprintf(" Aggregate speedup: %.2fx.", unfusedTotal/fusedTotal)
-	}
-	return exp, nil
-}
-
 // ablationDeepWorkload builds the deep layer stacks of the blocked-kernel
 // ablation: depth repetitions of (diagonal coupling layer + transverse
 // rotation layer) — the stage structure the cache-blocked engine exists
@@ -558,34 +397,30 @@ func (h *Harness) ablationDeepWorkload(kind string, n, depth int) (*circuit.Circ
 	return nil, fmt.Errorf("bench: unknown deep ablation workload %q", kind)
 }
 
-// RunKernelAblation measures the blocked-kernel ablation of the catalog:
-// deep QAOA/TFIM circuits executed through the cache-blocked stage engine
-// (statevec.RunStaged: tile-resident stages, SoA amplitude layout, SIMD
-// kernels, fused boundary gathers), through the per-op fused program
-// (statevec.RunProgram — the engine the staged path replaces above the
-// MinQubits threshold), and through the per-gate seed kernels
-// (statevec.RunCircuit). Strictly single-core: GOMAXPROCS and kernel
-// workers are pinned to 1 for the duration, so the numbers isolate memory
-// locality, not parallel speedup. Blocked and fused repetitions are
-// interleaved in pairs so shared-machine noise lands on both sides of the
-// ratio, and the timed region covers circuit execution only (sampling is
-// engine-independent). The per-gate baseline is capped in size —
-// at the paper's n=24+ a per-gate sweep takes minutes and adds nothing over
-// the capped trend — and larger points carry an explanatory marker.
+// Sweeps of the two engine ablations at full size. The committed
+// BENCH_kernel.json and BENCH_mps.json were recorded over exactly these.
+var (
+	kernelSizes = []int{16, 18, 20, 22, 24, 26}
+	mpsSizes    = []int{16, 24, 48}
+)
+
+// RunKernelAblation measures deep QAOA/TFIM circuits through the
+// cache-blocked stage engine (statevec.RunStaged), the per-op fused program
+// it replaces above MinQubits (statevec.RunProgram), and the per-gate seed
+// kernels (statevec.RunCircuit). Strictly single-core, so the numbers
+// isolate memory locality, not parallel speedup. Blocked and fused
+// repetitions are interleaved in pairs so shared-machine noise lands on both
+// sides of the ratio, and only circuit execution is timed. The per-gate
+// baseline stops at perGateCap qubits (a per-gate sweep at n=24+ takes
+// minutes); larger points carry an explanatory marker.
 func (h *Harness) RunKernelAblation() (*Experiment, error) {
-	var spec AblationSpec
-	for _, ab := range AblationCatalog {
-		if ab.Name == "blocked-kernel" {
-			spec = ab
-		}
-	}
 	exp := &Experiment{
 		ID:    "ablation-kernel",
-		Title: "Cache-blocked stages vs per-op fused vs per-gate execution (" + spec.Describe + ")",
+		Title: "Cache-blocked stages vs per-op fused vs per-gate execution (deep QAOA/TFIM, one core)",
 		Notes: "X axis is the qubit count; each series triplet runs the identical circuit and seed on one pinned core.",
 	}
-	defer pinGOMAXPROCS(1)()
-	sizes := spec.Sizes
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sizes := kernelSizes
 	depths := []int{4, 8}
 	perGateCap := 20
 	if h.Quick {
@@ -624,30 +459,17 @@ func (h *Harness) RunKernelAblation() (*Experiment, error) {
 					s.Release()
 					return nil
 				}
-				// Untimed warmup of both engines: the first execution at a
-				// new size pays first-touch page faults for every fresh
-				// buffer (seconds at n >= 24), and whichever engine runs
-				// first would absorb that allocator cost while the second
-				// inherits pool-warmed memory. A locality study measures
-				// steady-state kernels, not the page allocator.
+				// Untimed warmup of both engines: the first execution at a new
+				// size pays first-touch page faults for every fresh buffer, and
+				// whichever engine ran first would absorb that cost.
 				if err := runBlocked(); err != nil {
 					return nil, err
 				}
 				if err := runFused(); err != nil {
 					return nil, err
 				}
-				// Paired interleaved repetitions: the two engines alternate
-				// within each repeat, so a slow machine window inflates the
-				// same repeat on both sides instead of biasing whichever
-				// engine it happened to land on. The timed region covers
-				// circuit execution only — sampling cost is identical for
-				// every engine and would only dilute the kernel ratio.
-				reps := h.Repeats
-				if reps < 1 {
-					reps = 1
-				}
 				var bT, fT []float64
-				for r := 0; r < reps; r++ {
+				for r := 0; r < max(h.Repeats, 1); r++ {
 					t0 := time.Now()
 					if err := runBlocked(); err != nil {
 						return nil, err
@@ -672,11 +494,10 @@ func (h *Harness) RunKernelAblation() (*Experiment, error) {
 						Infeasible: true, Err: fmt.Sprintf("per-gate baseline capped at %d qubits", perGateCap)})
 					continue
 				}
-				gm, gs, err := h.timedRun(BackendSel{}, func() (*core.Result, error) {
-					rng := rand.New(rand.NewSource(h.Seed))
-					s, _ := statevec.RunCircuit(c, 1, rng)
+				gm, gs, err := h.timedRun(func() error {
+					s, _ := statevec.RunCircuit(c, 1, rand.New(rand.NewSource(h.Seed)))
 					s.Release()
-					return nil, nil
+					return nil
 				})
 				if err != nil {
 					return nil, err
@@ -692,140 +513,62 @@ func (h *Harness) RunKernelAblation() (*Experiment, error) {
 	return exp, nil
 }
 
-// RunDistAblation measures the distributed-fusion ablation of the catalog:
-// the same bound QAOA p=2 and TFIM circuits executed over P ranks through
-// the fused stage engine (statevec.RunDistributed: staged fused kernels,
-// bit-permutation remap exchanges, rank-local diagonal layers), with a
-// single-rank fused series as the no-communication reference. The Bytes
-// column is the modelled cross-rank wire volume from the mpi payload model,
-// which is deterministic per configuration.
-func (h *Harness) RunDistAblation() (*Experiment, error) {
-	var spec AblationSpec
-	for _, ab := range AblationCatalog {
-		if ab.Name == "distributed-fusion" {
-			spec = ab
-		}
-	}
-	exp := &Experiment{
-		ID:    "ablation-dist",
-		Title: "Fused-stage distributed execution (" + spec.Describe + ")",
-		Notes: "X axis is the rank count P; every series runs the identical circuit and seed.",
-	}
-	shots := h.Shots
-	if shots <= 0 {
-		shots = 256
-	}
-	const n = 10
-	for _, kind := range []string{"qaoa", "tfim"} {
-		c, err := h.ablationWorkload(kind, n)
-		if err != nil {
-			return nil, err
-		}
-		fused := Series{Label: kind + " fused-dist"}
-		single := Series{Label: kind + " single-rank fused"}
-		// The no-communication reference is independent of P: time it once
-		// and repeat the point across the axis.
-		sm, ss, err := h.timedRun(BackendSel{}, func() (*core.Result, error) {
-			rng := rand.New(rand.NewSource(h.Seed))
-			s, _ := statevec.RunFused(c, nil, 1, rng)
-			s.SampleCounts(shots, rng)
-			s.Release()
-			return nil, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range spec.Ps {
-			var bytes int64
-			mean, std, err := h.timedRun(BackendSel{}, func() (*core.Result, error) {
-				w := mpi.NewWorld(p)
-				err := w.Run(func(comm *mpi.Comm) error {
-					_, err := statevec.RunDistributed(comm, c, shots, h.Seed)
-					return err
-				})
-				bytes = w.BytesSent()
-				return nil, err
-			})
-			if err != nil {
-				return nil, err
-			}
-			fused.Points = append(fused.Points, Point{X: p, Placement: fmt.Sprintf("P=%d", p), RuntimeMS: mean, StdMS: std, Bytes: bytes})
-			single.Points = append(single.Points, Point{X: p, Placement: "P=1", RuntimeMS: sm, StdMS: ss})
-		}
-		exp.Series = append(exp.Series, fused, single)
-	}
-	return exp, nil
-}
-
-// RunMPSAblation measures the mps-engine ablation of the catalog: batches
-// of K identical TFIM / ring-QAOA executions run through the per-gate seed
-// path (one transpile + gate-by-gate MPS update with there-and-back swap
-// routing per element, serially — exactly what the matrix_product_state
-// sub-backend did before the compiled engine) and through the production
-// path (one fusion-aware compiled schedule with a persistent-permutation
-// swap route, elements fanned across cores). The fused statevector engine
-// runs beside them at the sizes it can reach, locating the crossover where
-// MPS takes over. Identical circuits and seeds everywhere.
+// RunMPSAblation measures batches of K identical TFIM / ring-QAOA
+// executions through the per-gate MPS path (transpile plus gate-by-gate
+// updates with there-and-back swap routing, per element, serially) and
+// through the production path (one compiled schedule with a
+// persistent-permutation swap route, elements fanned across cores). The
+// fused statevector engine runs beside them up to 26 qubits, locating the
+// crossover where MPS takes over. Identical circuits and seeds everywhere.
 func (h *Harness) RunMPSAblation() (*Experiment, error) {
-	var spec AblationSpec
-	for _, ab := range AblationCatalog {
-		if ab.Name == "mps-engine" {
-			spec = ab
-		}
-	}
-	k := 8
-	if len(spec.Ks) > 0 {
-		k = spec.Ks[0]
-	}
+	const k, maxBond = 8, 64
 	exp := &Experiment{
 		ID:    "ablation-mps",
-		Title: "Compiled+batched vs per-gate MPS execution (" + spec.Describe + ")",
+		Title: "Compiled+batched vs per-gate MPS execution (TFIM / ring-QAOA, K=8)",
 		Notes: fmt.Sprintf("X axis is the qubit count; every series runs the identical K=%d circuit batch with identical seeds.", k),
 	}
 	shots := h.Shots
 	if shots <= 0 {
 		shots = 256
 	}
-	const maxBond = 64
 	svWorkers := runtime.GOMAXPROCS(0)
 	var compiledTotal, perGateTotal float64
 	for _, kind := range []string{"tfim", "qaoa-ring"} {
 		perGate := Series{Label: kind + " per-gate mps"}
 		compiled := Series{Label: kind + " compiled+batched mps"}
 		sv := Series{Label: kind + " fused statevector"}
-		for _, n := range spec.Sizes {
+		for _, n := range mpsSizes {
 			circ, err := workloads.ByName(kind, n)
 			if err != nil {
 				return nil, err
 			}
 			circ = circ.StripMeasurements()
-			pm, ps, err := h.timedRun(BackendSel{}, func() (*core.Result, error) {
+			pm, ps, err := h.timedRun(func() error {
 				for i := 0; i < k; i++ {
 					rng := rand.New(rand.NewSource(h.Seed + int64(i)))
 					if _, _, err := mps.Simulate(circ, shots, maxBond, 0, rng); err != nil {
-						return nil, err
+						return err
 					}
 				}
-				return nil, nil
+				return nil
 			})
 			if err != nil {
 				return nil, err
 			}
-			cm, cs, err := h.timedRun(BackendSel{}, func() (*core.Result, error) {
+			cm, cs, err := h.timedRun(func() error {
 				cc, err := mps.CompileCircuit(circ)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				states, err := cc.RunBatch(make([]map[string]float64, k), mps.Options{MaxBond: maxBond})
 				if err != nil {
-					return nil, err
+					return err
 				}
 				for i, m := range states {
-					rng := rand.New(rand.NewSource(h.Seed + int64(i)))
-					m.Sample(shots, rng)
+					m.Sample(shots, rand.New(rand.NewSource(h.Seed+int64(i))))
 					m.Release()
 				}
-				return nil, nil
+				return nil
 			})
 			if err != nil {
 				return nil, err
@@ -834,21 +577,19 @@ func (h *Harness) RunMPSAblation() (*Experiment, error) {
 			compiledTotal += cm
 			perGate.Points = append(perGate.Points, Point{X: n, Placement: fmt.Sprintf("K=%d", k), RuntimeMS: pm, StdMS: ps})
 			compiled.Points = append(compiled.Points, Point{X: n, Placement: fmt.Sprintf("K=%d", k), RuntimeMS: cm, StdMS: cs})
-			// Dense reference: a 2^n amplitude vector stops fitting past the
-			// crossover — render those sizes as the paper's red-X points.
 			if n > 26 {
 				sv.Points = append(sv.Points, Point{X: n, Placement: fmt.Sprintf("K=%d", k),
 					Infeasible: true, Err: fmt.Sprintf("state vector of %d qubits exceeds the ablation budget", n)})
 				continue
 			}
-			sm, ss, err := h.timedRun(BackendSel{}, func() (*core.Result, error) {
+			sm, ss, err := h.timedRun(func() error {
 				for i := 0; i < k; i++ {
 					rng := rand.New(rand.NewSource(h.Seed + int64(i)))
 					s, _ := statevec.RunFused(circ, nil, svWorkers, rng)
 					s.SampleCounts(shots, rng)
 					s.Release()
 				}
-				return nil, nil
+				return nil
 			})
 			if err != nil {
 				return nil, err
@@ -888,7 +629,8 @@ func (h *Harness) RunCapabilityTable() (*Experiment, error) {
 	return exp, nil
 }
 
-// RunBenchmarkCatalog reproduces Table 2.
+// RunBenchmarkCatalog reproduces Table 2, followed by the experiment table:
+// what each qfwbench experiment measures.
 func (h *Harness) RunBenchmarkCatalog() *Experiment {
 	exp := &Experiment{ID: "table2", Title: "Benchmarks and problem sizes grouped by category"}
 	text := fmt.Sprintf("%-8s %-16s %-30s %s\n", "Name", "Category", "Sizes", "Description")
@@ -899,16 +641,13 @@ func (h *Harness) RunBenchmarkCatalog() *Experiment {
 	for _, cfgSpec := range DQAOAConfigs {
 		text += "  " + cfgSpec.String() + "\n"
 	}
-	text += "\nAblations (design-choice studies):\n"
-	for _, ab := range AblationCatalog {
-		sweep := fmt.Sprintf("K=%v", ab.Ks)
-		switch {
-		case len(ab.Ks) == 0 && len(ab.Ps) > 0:
-			sweep = fmt.Sprintf("P=%v", ab.Ps)
-		case len(ab.Ks) == 0:
-			sweep = fmt.Sprintf("n=%v", ab.Sizes)
+	text += "\nExperiments (qfwbench -exp <id>):\n"
+	for _, e := range Experiments {
+		sweep := "-"
+		if len(e.Sizes) > 0 {
+			sweep = fmt.Sprintf("n=%v", e.Sizes)
 		}
-		text += fmt.Sprintf("  %-20s %-16s %s\n", ab.Name, sweep, ab.Describe)
+		text += fmt.Sprintf("  %-16s %-24s %s\n", e.ID, sweep, e.Describe)
 	}
 	exp.Text = text
 	return exp

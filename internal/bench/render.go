@@ -27,10 +27,6 @@ func Render(e *Experiment) string {
 				fmt.Fprintf(&b, "  %4d %-8s  fidelity %.2f%%\n", p.X, p.Placement, p.Fidelity)
 			case p.Fidelity != 0:
 				fmt.Fprintf(&b, "  %4d %-8s  %10.2f ms ± %-8.2f fidelity %.2f%%\n", p.X, p.Placement, p.RuntimeMS, p.StdMS, p.Fidelity)
-			case p.Bytes != 0:
-				fmt.Fprintf(&b, "  %4d %-8s  %10.2f ms ± %-8.2f %9d B exchanged\n", p.X, p.Placement, p.RuntimeMS, p.StdMS, p.Bytes)
-			case p.Evals != 0:
-				fmt.Fprintf(&b, "  %4d %-12s %10.2f ms  %6d evals  objective %.6g\n", p.X, p.Placement, p.RuntimeMS, p.Evals, p.Objective)
 			default:
 				fmt.Fprintf(&b, "  %4d %-8s  %10.2f ms ± %.2f\n", p.X, p.Placement, p.RuntimeMS, p.StdMS)
 			}
@@ -52,14 +48,14 @@ func firstLine(s string) string {
 }
 
 // CSV renders an experiment as comma-separated rows:
-// series,x,placement,runtime_ms,std_ms,fidelity,bytes,evals,objective,infeasible.
+// series,x,placement,runtime_ms,std_ms,fidelity,infeasible.
 func CSV(e *Experiment) string {
 	var b strings.Builder
-	b.WriteString("series,x,placement,runtime_ms,std_ms,fidelity,bytes,evals,objective,infeasible\n")
+	b.WriteString("series,x,placement,runtime_ms,std_ms,fidelity,infeasible\n")
 	for _, s := range e.Series {
 		for _, p := range s.Points {
-			fmt.Fprintf(&b, "%q,%d,%q,%.4f,%.4f,%.4f,%d,%d,%.6g,%v\n",
-				s.Label, p.X, p.Placement, p.RuntimeMS, p.StdMS, p.Fidelity, p.Bytes, p.Evals, p.Objective, p.Infeasible)
+			fmt.Fprintf(&b, "%q,%d,%q,%.4f,%.4f,%.4f,%v\n",
+				s.Label, p.X, p.Placement, p.RuntimeMS, p.StdMS, p.Fidelity, p.Infeasible)
 		}
 	}
 	return b.String()

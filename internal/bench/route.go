@@ -32,11 +32,11 @@ var RouteMix = []RouteCase{
 	{Name: "tfim-xl", N: 48},
 }
 
-// routeWorkload builds one mix entry ("qaoa" is the bound p=2 random-QUBO
-// ansatz the other ablations use; everything else comes from Table 2).
+// routeWorkload builds one mix entry ("qaoa" is the kernel ablation's bound
+// random-QUBO ansatz at p=2; everything else comes from Table 2).
 func (h *Harness) routeWorkload(rc RouteCase) (*circuit.Circuit, error) {
 	if rc.Name == "qaoa" {
-		return h.ablationWorkload("qaoa", rc.N)
+		return h.ablationDeepWorkload("qaoa", rc.N, 2)
 	}
 	return workloads.ByName(rc.Name, rc.N)
 }
@@ -130,24 +130,17 @@ func (h *Harness) RouteDecisionTable(cases []RouteCase) (string, error) {
 	return text, nil
 }
 
-// RunRouteAblation measures the routing ablation of the catalog: the
-// heterogeneous RouteMix executed through the auto selector (cost-model
-// routing) and through every pinned single-engine choice a user could have
-// made instead. Sizes span the statevector and MPS regimes, so each pinned
+// RunRouteAblation measures the heterogeneous RouteMix executed through the
+// auto selector (cost-model routing) and through every pinned single-engine
+// choice a user could have made instead. Sizes span the statevector and MPS regimes, so each pinned
 // engine is either slow or infeasible somewhere; the routed series must
 // aggregate at or below every pinned aggregate over that engine's feasible
 // subset. Routed points carry the model's predicted cost next to the
 // measured runtime — the predicted-vs-actual record of the calibration.
 func (h *Harness) RunRouteAblation() (*Experiment, error) {
-	var spec AblationSpec
-	for _, ab := range AblationCatalog {
-		if ab.Name == "engine-routing" {
-			spec = ab
-		}
-	}
 	exp := &Experiment{
 		ID:    "ablation-route",
-		Title: "Cost-model routing vs pinned single-engine execution (" + spec.Describe + ")",
+		Title: "Cost-model routing vs pinned single-engine execution (heterogeneous SV/MPS workload mix)",
 		Notes: "X axis is the qubit count; every series runs the identical workload mix with identical seeds. Pinned aggregates cover only that engine's feasible subset.",
 	}
 	pinned := []BackendSel{
@@ -180,8 +173,9 @@ func (h *Harness) RunRouteAblation() (*Experiment, error) {
 				}
 			}
 		}
-		mean, std, runErr := h.timedRun(BackendSel{}, func() (*core.Result, error) {
-			return autoFront.Run(c, opts)
+		mean, std, runErr := h.timedRun(func() error {
+			_, err := autoFront.Run(c, opts)
+			return err
 		})
 		pt := Point{X: rc.N, Placement: routeKey(rc), RuntimeMS: mean, StdMS: std, PredictedMS: predicted}
 		if runErr != nil {
@@ -202,8 +196,9 @@ func (h *Harness) RunRouteAblation() (*Experiment, error) {
 		feasible := 0
 		for _, rc := range mix {
 			c := circuits[routeKey(rc)]
-			mean, std, runErr := h.timedRun(sel, func() (*core.Result, error) {
-				return front.Run(c, opts)
+			mean, std, runErr := h.timedRun(func() error {
+				_, err := front.Run(c, opts)
+				return err
 			})
 			pt := Point{X: rc.N, Placement: routeKey(rc), RuntimeMS: mean, StdMS: std}
 			if runErr != nil {

@@ -37,23 +37,14 @@ type AutoExecutor struct {
 	cache    *ParseCache
 	model    *cost.Model
 	memBytes int64 // dense-amplitude budget candidate sizing respects (0 = unbounded)
-	fallback bool  // re-route a failed submission to the next ranked engine
 }
 
 // NewAutoExecutor wraps the live executors of a session under the
-// process-wide cost model (cost.Current). Runtime fallback re-routing is
-// on by default: when the chosen engine fails at execution time the
-// submission moves to the next ranked candidate instead of failing, and
-// the result's Route is annotated "fallback:<engine>".
+// process-wide cost model (cost.Current). When the chosen engine fails at
+// execution time the submission moves to the next ranked candidate instead
+// of failing, and the result's Route is annotated "fallback:<engine>".
 func NewAutoExecutor(execs map[string]Executor) *AutoExecutor {
-	return &AutoExecutor{execs: execs, cache: NewParseCache(), model: cost.Current(), fallback: true}
-}
-
-// WithFallback toggles runtime fallback re-routing (the ablation-faults
-// bench measures both sides) and returns the executor.
-func (a *AutoExecutor) WithFallback(on bool) *AutoExecutor {
-	a.fallback = on
-	return a
+	return &AutoExecutor{execs: execs, cache: NewParseCache(), model: cost.Current()}
 }
 
 // WithModel overrides the cost model (nil forces the structural rules) and
@@ -276,11 +267,10 @@ func annotate(res *ExecResult, route string, predictedMS, actualMS float64) {
 
 // Execute implements Executor: decide, delegate, and annotate the result
 // with the route plus predicted-vs-actual runtime. When the chosen engine
-// fails and fallback is on, the next ranked candidate takes the
-// submission; the first (primary) error is what callers see if every
-// candidate fails.
+// fails, the next ranked candidate takes the submission; the first
+// (primary) error is what callers see if every candidate fails.
 func (a *AutoExecutor) Execute(spec CircuitSpec, opts RunOptions) (ExecResult, error) {
-	cands, err := a.ranked(spec, a.fallback)
+	cands, err := a.ranked(spec, true)
 	if err != nil {
 		return ExecResult{}, err
 	}
@@ -320,7 +310,7 @@ func (a *AutoExecutor) Execute(spec CircuitSpec, opts RunOptions) (ExecResult, e
 // target supports batches, otherwise by rebinding each element through the
 // selector's parse cache — with the same fallback order as Execute.
 func (a *AutoExecutor) ExecuteBatch(spec CircuitSpec, bindings []Bindings, opts RunOptions) ([]ExecResult, error) {
-	cands, err := a.ranked(spec, a.fallback)
+	cands, err := a.ranked(spec, true)
 	if err != nil {
 		return nil, err
 	}
@@ -483,9 +473,6 @@ func (a *AutoExecutor) ExecuteGradient(spec CircuitSpec, bindings []Bindings, op
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("auto[gradient->%s]: %w", c.name, err)
-			}
-			if !a.fallback {
-				break
 			}
 			continue
 		}

@@ -303,13 +303,6 @@ func TestAutoFallbackReroute(t *testing.T) {
 	if bad.callCount() == 0 || good.callCount() == 0 {
 		t.Fatalf("calls: aer=%d nwqsim=%d", bad.callCount(), good.callCount())
 	}
-
-	// With fallback disabled the primary's failure is final.
-	b := NewAutoExecutor(map[string]Executor{"aer": &fakeExec{name: "aer", fail: true}, "nwqsim": &fakeExec{name: "nwqsim"}}).
-		WithModel(nil).WithFallback(false)
-	if _, err := b.Execute(bell(t), RunOptions{Shots: 4}); err == nil {
-		t.Fatal("fallback-off execution succeeded through a dead primary")
-	}
 }
 
 // TestLaunchArmsQFWFaults: an armed QFW_FAULTS schedule wraps every

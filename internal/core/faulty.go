@@ -8,8 +8,8 @@ import (
 )
 
 // FaultyExecutor wraps any executor in a deterministic fault injector —
-// the harness the robustness tests and the ablation-faults bench drive
-// real execution paths through. Every execution probes the injector with
+// the harness the robustness tests and QFW_FAULTS drive real execution
+// paths through. Every execution probes the injector with
 // a stable per-element key (spec hash + effective seed) before touching
 // the wrapped backend, so which elements fail is a pure function of the
 // schedule, not of worker interleaving, and a faulted run recovering

@@ -180,8 +180,8 @@ func DefaultRetryPolicy() faults.Policy {
 }
 
 // SetRetryPolicy replaces the executor retry policy (MaxAttempts of 1
-// disables retrying). Tests and the fault-injection bench use it to
-// toggle the recovery machinery; it applies to work submitted afterwards.
+// disables retrying). Tests use it to toggle the recovery machinery; it
+// applies to work submitted afterwards.
 func (q *QPM) SetRetryPolicy(p faults.Policy) {
 	q.mu.Lock()
 	q.retry = p

@@ -276,7 +276,7 @@ func (s *Session) QPM(backend string) *QPM {
 }
 
 // Executor returns the live executor behind a backend's QPM (nil when
-// absent) — the fault-injection bench wraps it without re-running the
+// absent), so tools and tests can call or wrap it without re-running the
 // backend factory.
 func (s *Session) Executor(backend string) Executor {
 	if q := s.QPM(backend); q != nil {

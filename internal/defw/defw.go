@@ -204,6 +204,11 @@ func (s *Server) Close() {
 // actually sends an oversized length prefix tears the transport down.
 var maxFrameBytes = uint32(1 << 28)
 
+// eagerFrameBytes is the largest body readFrame allocates whole from the
+// length prefix alone. A longer body grows its buffer as bytes arrive, so a
+// peer that declares 256 MiB and sends nothing costs next to nothing.
+const eagerFrameBytes = 1 << 20
+
 func readFrame(r io.Reader) ([]byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -213,9 +218,19 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n > maxFrameBytes {
 		return nil, fmt.Errorf("defw: frame too large (%d bytes)", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if n <= eagerFrameBytes {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	buf, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return nil, err
+	}
+	if len(buf) < int(n) {
+		return nil, io.ErrUnexpectedEOF
 	}
 	return buf, nil
 }

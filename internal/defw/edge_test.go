@@ -3,7 +3,10 @@ package defw
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -98,6 +101,42 @@ func TestTruncatedFrame(t *testing.T) {
 	if _, err := readFrame(&buf); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
+}
+
+// TestDeclaredLengthIsNotAllocated: a header declaring the largest legal
+// frame followed by EOF must fail as a short body without the reader
+// allocating anything near the declared 256 MiB.
+func TestDeclaredLengthIsNotAllocated(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], 1<<28)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bytes.NewReader(hdr[:]))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 8<<20 {
+		t.Fatalf("reading a bodiless 256 MiB header allocated %d bytes", d)
+	}
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the frame decoder: it must not
+// panic, and a body it returns can only be made of bytes that followed the
+// 4-byte header.
+func FuzzReadFrame(f *testing.F) {
+	var buf bytes.Buffer
+	writeFrame(&buf, []byte(`{"id":1,"service":"qpm.aer","method":"exec"}`))
+	f.Add(buf.Bytes())
+	f.Add([]byte{0, 0, 0, 10, 'x', 'y'})
+	f.Add([]byte{0x10, 0, 0, 0})
+	f.Add([]byte{0, 0x10, 0, 1, 'z'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		body, err := readFrame(bytes.NewReader(data))
+		if err == nil && len(body) > len(data)-4 {
+			t.Fatalf("body of %d bytes from %d input bytes", len(body), len(data))
+		}
+	})
 }
 
 func TestLargePayloadThroughRPC(t *testing.T) {

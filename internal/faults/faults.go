@@ -1,8 +1,7 @@
 // Package faults is the shared fault-tolerance vocabulary of the stack:
 // a transient/permanent error classification, a retry policy with capped
 // full-jitter exponential backoff, and a deterministic fault injector
-// (inject.go) the tests and the ablation-faults bench drive executions
-// through. The package is a leaf — it imports only the standard library —
+// (inject.go) the tests and QFW_FAULTS drive executions through. The package is a leaf — it imports only the standard library —
 // so every layer (core, backends, ionq, prte, serve) can share one policy
 // type without import cycles.
 package faults

@@ -144,6 +144,38 @@ func TestSolveGradientPathsConverge(t *testing.T) {
 	}
 }
 
+// TestSolveAdjointBeatsNelderMead is the loop-level acceptance property of
+// the gradient engine on QAOA p=2: Adam over adjoint gradients, stopped at
+// the objective Nelder-Mead reaches on a 240-eval budget, gets there on
+// fewer circuit-equivalent evaluations. Fully seeded, so deterministic.
+func TestSolveAdjointBeatsNelderMead(t *testing.T) {
+	const seed = 72
+	q := qubo.Random(10, 0.5, 1.0, rand.New(rand.NewSource(seed)))
+	base := Options{P: 2, Shots: 64, Seed: seed, ExactExpectation: true}
+	nmOpts := base
+	nmOpts.Optimizer, nmOpts.MaxEvals = "neldermead", 240
+	nm, err := Solve(q, LocalRunner{}, nmOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Target is compared against the expectation before Solve adds the
+	// QUBO's constant offset back.
+	_, offset := q.CostHamiltonian()
+	target := nm.Expectation - offset
+	adjOpts := base
+	adjOpts.Optimizer, adjOpts.Gradient, adjOpts.Target, adjOpts.MaxEvals = "adam", "adjoint", &target, 8*240
+	adj, err := Solve(q, LocalRunner{}, adjOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adj.Evals >= nm.Evals {
+		t.Errorf("adjoint spent %d evals, Nelder-Mead %d: no win", adj.Evals, nm.Evals)
+	}
+	if adj.Expectation > nm.Expectation+1e-9 {
+		t.Errorf("adjoint objective %.6f worse than Nelder-Mead %.6f", adj.Expectation, nm.Expectation)
+	}
+}
+
 func solveExact(q *qubo.QUBO) ([]int, float64) {
 	best := math.Inf(1)
 	var bits []int

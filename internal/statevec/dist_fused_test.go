@@ -2,6 +2,7 @@ package statevec
 
 import (
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"reflect"
@@ -316,9 +317,9 @@ func TestDistributedMaxRankDegradation(t *testing.T) {
 // at engine level: on a mixer-heavy circuit the fused stage engine moves
 // fewer modelled bytes than exchanging one shard per rank for every gate
 // that touches a rank-encoded qubit — the closed form of a per-gate
-// distributed engine.
+// distributed engine — at every world size, and a single rank sends nothing.
 func TestDistributedFusedFewerBytes(t *testing.T) {
-	const n, p, nLocal = 8, 4, 6
+	const n = 8
 	c := circuit.New(n)
 	for q := 0; q < n; q++ {
 		c.H(q)
@@ -331,27 +332,36 @@ func TestDistributedFusedFewerBytes(t *testing.T) {
 			c.RX(q, circuit.Bound(0.8))
 		}
 	}
-	w := mpi.NewWorld(p)
-	err := w.Run(func(comm *mpi.Comm) error {
-		_, err := RunDistributed(comm, c, 32, 1)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	globalGates := 0
-	for _, g := range c.Gates {
-		for _, q := range g.Qubits {
-			if q >= nLocal {
-				globalGates++
-				break
+	for _, p := range []int{1, 2, 4, 8} {
+		w := mpi.NewWorld(p)
+		err := w.Run(func(comm *mpi.Comm) error {
+			_, err := RunDistributed(comm, c, 32, 1)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fused := w.BytesSent()
+		if p == 1 {
+			if fused != 0 {
+				t.Fatalf("P=1 sent %d bytes, want 0", fused)
+			}
+			continue
+		}
+		nLocal := n - bits.TrailingZeros(uint(p))
+		globalGates := 0
+		for _, g := range c.Gates {
+			for _, q := range g.Qubits {
+				if q >= nLocal {
+					globalGates++
+					break
+				}
 			}
 		}
+		perGate := int64(globalGates) * (16 << nLocal) * int64(p)
+		if fused <= 0 || fused >= perGate {
+			t.Fatalf("P=%d: fused path sent %d bytes, one shard exchange per global-qubit gate is %d — fusion should communicate less", p, fused, perGate)
+		}
+		t.Logf("P=%d bytes: fused=%d per-gate closed form=%d (%.1fx less)", p, fused, perGate, float64(perGate)/float64(fused))
 	}
-	fused := w.BytesSent()
-	perGate := int64(globalGates) * (16 << nLocal) * p
-	if fused >= perGate {
-		t.Fatalf("fused path sent %d bytes, one shard exchange per global-qubit gate is %d — fusion should communicate less", fused, perGate)
-	}
-	t.Logf("bytes: fused=%d per-gate closed form=%d (%.1fx less)", fused, perGate, float64(perGate)/float64(fused))
 }

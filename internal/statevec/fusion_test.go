@@ -6,6 +6,7 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+	"time"
 
 	"qfw/internal/circuit"
 	"qfw/internal/linalg"
@@ -202,4 +203,47 @@ func TestSimulateFusedMatchesMeasurement(t *testing.T) {
 	if counts["00000"] < 1700 || counts["11111"] < 1700 {
 		t.Fatalf("GHZ counts unbalanced: %v", counts)
 	}
+}
+
+// TestFusedBeatsPerGate keeps the fused engine's reason to exist in tier-1:
+// on a QAOA-shaped circuit (all-pairs RZZ cost layers, RX mixers) the fused
+// program, which folds each cost layer into one diagonal sweep, must run at
+// least 1.5x faster than the per-gate kernels. Best of three attempts, so a
+// transient load spike on a shared machine cannot fail the build.
+func TestFusedBeatsPerGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test skipped in -short mode")
+	}
+	const n = 14
+	c := circuit.New(n)
+	for q := 0; q < n; q++ {
+		c.H(q)
+	}
+	for layer := 0; layer < 2; layer++ {
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				c.RZZ(a, b, circuit.Bound(0.1*float64(a+b)+0.05*float64(layer)))
+			}
+		}
+		for q := 0; q < n; q++ {
+			c.RX(q, circuit.Bound(0.7))
+		}
+	}
+	plan := circuit.PlanFusion(c)
+	speedup := 0.0
+	for attempt := 0; attempt < 3 && speedup < 1.5; attempt++ {
+		t0 := time.Now()
+		s, _ := RunCircuit(c, 1, rand.New(rand.NewSource(1)))
+		perGate := time.Since(t0)
+		s.Release()
+		t0 = time.Now()
+		s, _ = RunFused(c, plan, 1, rand.New(rand.NewSource(1)))
+		fused := time.Since(t0)
+		s.Release()
+		speedup = max(speedup, float64(perGate)/float64(fused))
+	}
+	if speedup < 1.5 {
+		t.Fatalf("fused engine only %.2fx faster than per-gate kernels, want >= 1.5x", speedup)
+	}
+	t.Logf("fused speedup over per-gate: %.1fx", speedup)
 }

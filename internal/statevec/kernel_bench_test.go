@@ -145,8 +145,8 @@ func BenchmarkKernelDiagLayerAoS(b *testing.B) {
 }
 
 // BenchmarkStageSweep runs a full deep-circuit execution through the staged
-// engine versus the per-op fused engine, single worker — the end-to-end
-// number behind the ablation's blocked-vs-fused series.
+// engine, the per-op fused engine and the per-gate kernels, single worker —
+// the in-process numbers behind the kernel ablation's three series.
 func benchDeepCircuit(n int) *circuit.Circuit {
 	c := circuit.New(n)
 	for q := 0; q < n; q++ {
@@ -189,6 +189,18 @@ func BenchmarkStageSweepFused(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, _ := RunProgram(prog, 1, rng)
+		s.Release()
+	}
+}
+
+// BenchmarkStageSweepPerGate is the per-gate seed path on the same circuit:
+// the third engine of the blocked / fused / per-gate triplet.
+func BenchmarkStageSweepPerGate(b *testing.B) {
+	c := benchDeepCircuit(18)
+	rng := rand.New(rand.NewSource(3))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, _ := RunCircuit(c, 1, rng)
 		s.Release()
 	}
 }

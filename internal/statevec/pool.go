@@ -94,47 +94,31 @@ var (
 	intArena [31]sync.Pool
 )
 
-// getAmpBuf returns an uninitialized 2^n amplitude buffer. Large buffers
-// are huge-page-backed where the platform supports it (hugepool_linux.go);
-// those recycle through the huge free list, never through sync.Pool.
+// getAmpBuf returns an uninitialized 2^n amplitude buffer.
 func getAmpBuf(n int) []complex128 {
 	if v := ampArena[n].Get(); v != nil {
 		return v.([]complex128)
-	}
-	if buf := hugeGetAmp(n); buf != nil {
-		return buf
 	}
 	return make([]complex128, 1<<uint(n))
 }
 
 func putAmpBuf(n int, buf []complex128) {
-	if len(buf) != 1<<uint(n) {
-		return
+	if len(buf) == 1<<uint(n) {
+		ampArena[n].Put(buf) //nolint:staticcheck // slice header allocation is amortized
 	}
-	if hugePutAmp(buf) {
-		return
-	}
-	ampArena[n].Put(buf) //nolint:staticcheck // slice header allocation is amortized
 }
 
 func getF64Buf(n int) []float64 {
 	if v := f64Arena[n].Get(); v != nil {
 		return v.([]float64)
 	}
-	if buf := hugeGetF64(n); buf != nil {
-		return buf
-	}
 	return make([]float64, 1<<uint(n))
 }
 
 func putF64Buf(n int, buf []float64) {
-	if len(buf) != 1<<uint(n) {
-		return
+	if len(buf) == 1<<uint(n) {
+		f64Arena[n].Put(buf) //nolint:staticcheck
 	}
-	if hugePutF64(buf) {
-		return
-	}
-	f64Arena[n].Put(buf) //nolint:staticcheck
 }
 
 func getIntBuf(n int) []int {

@@ -46,8 +46,8 @@
 // loop would have used. RunBatchAsync returns a PendingBatch handle for the
 // non-blocking variant. SolveQAOA, SolveDQAOA, and SolveVQLS route their
 // per-iteration candidate sets through this path automatically; the
-// `qfwbench -exp ablation-batch` experiment tracks the resulting speedup
-// over per-circuit submission.
+// end-to-end benchmark's batch_sweep workload measures it over a real DEFw
+// connection.
 package qfw
 
 import (
