@@ -47,12 +47,11 @@ func (t *site) at(l, s, r int) complex128     { return t.data[(l*2+s)*t.chiR+r] 
 func (t *site) set(l, s, r int, v complex128) { t.data[(l*2+s)*t.chiR+r] = v }
 
 // Scratch-buffer arena: every two-site update allocates a theta tensor and
-// two replacement site tensors, and sampling allocates conditioned bond
-// vectors per shot. Buffers recycle through power-of-two size-class pools
-// (fetched from the class covering the request, returned to the class
-// their capacity fills), so a tiny edge-site tensor can never claim and
-// pin a peak-sized theta buffer, and no returned buffer is ever dropped
-// for being the wrong size.
+// two replacement site tensors. Buffers recycle through power-of-two
+// size-class pools (fetched from the class covering the request, returned
+// to the class their capacity fills), so a tiny edge-site tensor can never
+// claim and pin a peak-sized theta buffer, and no returned buffer is ever
+// dropped for being the wrong size.
 var cbufPools [40]sync.Pool
 
 // getCBuf returns a zeroed buffer of length n.
@@ -554,79 +553,197 @@ func (m *MPS) Run(c *circuit.Circuit) error {
 	return nil
 }
 
+// sampleChunkBytes caps the uniforms Sample draws ahead of its prefix walk:
+// shots are sampled in chunks of consecutive shots whose draws fit in it.
+const sampleChunkBytes = 1 << 20
+
 // Sample draws shots bitstrings from the MPS distribution. Keys follow the
 // Qiskit convention (qubit 0 rightmost); a routed chain permutation is
 // unwound in the keys, never in the tensors. shots <= 0 draws nothing and
 // returns nil.
+//
+// Each shot reads one uniform u per site, shot-major, and takes branch 1 at
+// a site when u·(p0+p1) < p1 for the weights of its conditioned bond vector.
+// Shots that share a prefix share that vector, so a chunk's uniforms are
+// drawn first and the chunk walks the prefix tree depth-first: one
+// contraction per distinct prefix instead of one per shot and site. The
+// result is the histogram, and the rng state, of sampling shot by shot.
+// A node of zero weight takes branch 0 without a draw, which shifts the
+// stream; on meeting one the chunk is replayed shot by shot from its
+// buffered draws (a zero-norm state, whose root has zero weight, never
+// draws ahead at all, so only a zero-weight node below a nonzero root can
+// leave rng up to one chunk further on).
 func (m *MPS) Sample(shots int, rng *rand.Rand) map[string]int {
 	if shots <= 0 {
 		return nil
 	}
 	m.moveCenterTo(0)
-	maxChi := 1
+	s := newPrefixSampler(m, min(shots, max(1, sampleChunkBytes/8/m.N)), rng)
+	root := []complex128{1}
+	p0, p1 := branches(root, m.sites[0], s.branch[0][0], s.branch[0][1])
+	s.perShot = p0+p1 <= 0
+	var counts map[string]int
+	for done := 0; done < shots; {
+		if s.perShot {
+			s.walk(0, root, s.idx[:1])
+			done++
+			continue
+		}
+		s.cs = min(len(s.idx), shots-done)
+		for j := 0; j < s.cs; j++ {
+			for i := 0; i < m.N; i++ {
+				s.u[i*s.cs+j] = rng.Float64()
+			}
+		}
+		for j := range s.idx[:s.cs] {
+			s.idx[j] = int32(j)
+		}
+		if !s.walk(0, root, s.idx[:s.cs]) {
+			clear(s.counts)
+			s.perShot = true
+			continue
+		}
+		counts = s.commit(counts)
+		done += s.cs
+	}
+	return s.commit(counts)
+}
+
+// prefixSampler is the state of one Sample call.
+type prefixSampler struct {
+	m      *MPS
+	rng    *rand.Rand
+	branch [][2][]complex128 // per site: its two conditioned bond vectors
+	u      []float64         // chunk uniforms: u[i*cs+j] is site i of shot j
+	cs     int               // shots in the current chunk
+	idx    []int32           // chunk shot indices, partitioned per node
+	key    []byte
+	counts map[string]int // the histogram not yet committed
+
+	// perShot walks one shot at a time and draws lazily: first the
+	// buffered uniforms of the chunk that met a zero-weight node (pos
+	// counts them in stream order), then rng.
+	perShot bool
+	pos     int
+}
+
+func newPrefixSampler(m *MPS, chunk int, rng *rand.Rand) *prefixSampler {
+	s := &prefixSampler{
+		m: m, rng: rng,
+		branch: make([][2][]complex128, m.N),
+		u:      make([]float64, chunk*m.N),
+		idx:    make([]int32, chunk),
+		key:    make([]byte, m.N),
+		counts: make(map[string]int, 16),
+	}
+	width := 0
 	for _, t := range m.sites {
-		if t.chiR > maxChi {
-			maxChi = t.chiR
-		}
+		width += 2 * t.chiR
 	}
-	left := getCBuf(maxChi)
-	v0 := getCBuf(maxChi)
-	v1 := getCBuf(maxChi)
-	defer func() { putCBuf(left); putCBuf(v0); putCBuf(v1) }()
-	counts := make(map[string]int, 16)
-	key := make([]byte, m.N)
-	for shot := 0; shot < shots; shot++ {
-		// Conditioned left vector over the running bond.
-		left[0] = 1
-		width := 1
-		for i := 0; i < m.N; i++ {
-			t := m.sites[i]
-			condVec(left[:width], t, 0, v0[:t.chiR])
-			condVec(left[:width], t, 1, v1[:t.chiR])
-			p0 := norm2(v0[:t.chiR])
-			p1 := norm2(v1[:t.chiR])
-			total := p0 + p1
-			s := 0
-			src := v0
-			if total <= 0 {
-				v0[0] = 1
-				for j := 1; j < t.chiR; j++ {
-					v0[j] = 0
-				}
-			} else if rng.Float64()*total < p1 {
-				s = 1
-				src = v1
-			}
-			normalize(src[:t.chiR])
-			copy(left[:t.chiR], src[:t.chiR])
-			width = t.chiR
-			if s == 0 {
-				key[m.N-1-m.qubitForSite(i)] = '0'
-			} else {
-				key[m.N-1-m.qubitForSite(i)] = '1'
-			}
-		}
-		counts[string(key)]++
+	vec := make([]complex128, width)
+	for i, t := range m.sites {
+		s.branch[i] = [2][]complex128{vec[:t.chiR:t.chiR], vec[t.chiR : 2*t.chiR : 2*t.chiR]}
+		vec = vec[2*t.chiR:]
 	}
+	return s
+}
+
+// commit adds the uncommitted histogram to counts and returns it.
+func (s *prefixSampler) commit(counts map[string]int) map[string]int {
+	if counts == nil {
+		counts, s.counts = s.counts, make(map[string]int, 16)
+		return counts
+	}
+	for k, v := range s.counts {
+		counts[k] += v
+	}
+	clear(s.counts)
 	return counts
 }
 
-// condVec contracts the running left vector with physical index s of site t
-// into dst (len t.chiR).
-func condVec(left []complex128, t *site, s int, dst []complex128) {
-	for r := range dst {
-		dst[r] = 0
+// walk visits the prefix-tree node at site i, whose conditioned bond vector
+// is left, with the shots in idx. It returns false when a chunk meets a
+// node of zero weight, where the chunk's draws stop matching the stream.
+func (s *prefixSampler) walk(i int, left []complex128, idx []int32) bool {
+	m := s.m
+	if i == m.N {
+		s.counts[string(s.key)] += len(idx)
+		return true
 	}
+	v0, v1 := s.branch[i][0], s.branch[i][1]
+	p0, p1 := branches(left, m.sites[i], v0, v1)
+	total := p0 + p1
+	split := len(idx) // idx[:split] take branch 0, idx[split:] branch 1
+	switch {
+	case total <= 0:
+		if !s.perShot {
+			return false
+		}
+		clear(v0)
+		v0[0], p0 = 1, 1
+	case s.perShot:
+		if s.next()*total < p1 {
+			split = 0
+		}
+	default:
+		u := s.u[i*s.cs : (i+1)*s.cs]
+		for j := 0; j < split; {
+			if u[idx[j]]*total < p1 {
+				split--
+				idx[j], idx[split] = idx[split], idx[j]
+			} else {
+				j++
+			}
+		}
+	}
+	pos := m.N - 1 - m.qubitForSite(i)
+	if split > 0 {
+		// p0 is norm2(v0): normalizing by it rescales exactly as a fresh
+		// norm would.
+		normalizeBy(v0, p0)
+		s.key[pos] = '0'
+		if !s.walk(i+1, v0, idx[:split]) {
+			return false
+		}
+	}
+	if split < len(idx) {
+		normalizeBy(v1, p1)
+		s.key[pos] = '1'
+		return s.walk(i+1, v1, idx[split:])
+	}
+	return true
+}
+
+// next returns the next uniform of the stream in per-shot mode.
+func (s *prefixSampler) next() float64 {
+	if n := s.m.N; s.pos < s.cs*n {
+		p := s.pos
+		s.pos++
+		return s.u[(p%n)*s.cs+p/n]
+	}
+	return s.rng.Float64()
+}
+
+// branches contracts the bond vector left with both physical indices of
+// site t in one pass over the tensor, into v0 and v1 (len t.chiR), and
+// returns their squared norms.
+func branches(left []complex128, t *site, v0, v1 []complex128) (p0, p1 float64) {
+	clear(v0)
+	clear(v1)
+	v1 = v1[:len(v0)]
 	for l := 0; l < t.chiL; l++ {
 		lv := left[l]
 		if lv == 0 {
 			continue
 		}
-		row := (l*2 + s) * t.chiR
-		for r := 0; r < t.chiR; r++ {
-			dst[r] += lv * t.data[row+r]
+		row0 := t.data[2*l*t.chiR:][:len(v0)]
+		row1 := t.data[(2*l+1)*t.chiR:][:len(v0)]
+		for r := range v0 {
+			v0[r] += lv * row0[r]
+			v1[r] += lv * row1[r]
 		}
 	}
+	return norm2(v0), norm2(v1)
 }
 
 func norm2(v []complex128) float64 {
@@ -637,16 +754,16 @@ func norm2(v []complex128) float64 {
 	return acc
 }
 
-func normalize(v []complex128) []complex128 {
-	n := math.Sqrt(norm2(v))
+// normalizeBy scales v to unit norm given p = norm2(v).
+func normalizeBy(v []complex128, p float64) {
+	n := math.Sqrt(p)
 	if n == 0 {
-		return v
+		return
 	}
 	inv := complex(1/n, 0)
 	for i := range v {
 		v[i] *= inv
 	}
-	return v
 }
 
 // Norm returns ||psi||, computed by a full transfer contraction (gauge-free).
