@@ -12,8 +12,7 @@ import (
 // engine, through the QPM: shots 0 with an observable returns the exact
 // ⟨H⟩ and no histogram, shots 0 alone samples 1024, and an explicit count
 // samples exactly that many. The analytic ⟨H⟩ is the same value a sampled
-// request of the same circuit reports (bit for bit; qtensor's contraction
-// is not bit-reproducible run to run, so it is held to 1e-12).
+// request of the same circuit reports, bit for bit.
 func TestAnalyticRequestShipsNoCounts(t *testing.T) {
 	s := launch(t)
 	// Non-Clifford for the dense and tensor-network engines.
@@ -37,16 +36,15 @@ func TestAnalyticRequestShipsNoCounts(t *testing.T) {
 	cases := []struct {
 		backend, sub string
 		c            *circuit.Circuit
-		tol          float64
 	}{
-		{"aer", "statevector", rot, 0},
-		{"aer", "stabilizer", cliff, 0},
-		{"aer", "matrix_product_state", rot, 0},
-		{"nwqsim", "openmp", rot, 0},
-		{"nwqsim", "mpi", rot, 0},
-		{"qtensor", "numpy", rot, 1e-12},
-		{"qtensor", "mpi", rot, 1e-12},
-		{"tnqvm", "exatn-mps", rot, 0},
+		{"aer", "statevector", rot},
+		{"aer", "stabilizer", cliff},
+		{"aer", "matrix_product_state", rot},
+		{"nwqsim", "openmp", rot},
+		{"nwqsim", "mpi", rot},
+		{"qtensor", "numpy", rot},
+		{"qtensor", "mpi", rot},
+		{"tnqvm", "exatn-mps", rot},
 	}
 	for _, tc := range cases {
 		name := tc.backend + "/" + tc.sub
@@ -80,11 +78,7 @@ func TestAnalyticRequestShipsNoCounts(t *testing.T) {
 			t.Fatalf("%s: missing expectation value", name)
 		}
 		a, b := *analytic.ExpVal, *sampled.ExpVal
-		same := math.Float64bits(a) == math.Float64bits(b)
-		if tc.tol > 0 {
-			same = math.Abs(a-b) <= tc.tol
-		}
-		if !same {
+		if math.Float64bits(a) != math.Float64bits(b) {
 			t.Errorf("%s: analytic <H> %v != sampled request's %v", name, a, b)
 		}
 		if n := sum(run(core.RunOptions{}).Counts); n != 1024 {

@@ -23,10 +23,9 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/diag_gold
 // the seeded counts of diagonal-observable requests to the float64 bit
 // patterns recorded at 743724b, before observables were compiled to a
 // table: the closure walk and the table must agree to the last bit on every
-// executor that evaluates a diagonal, and on the local qaoa runner. qtensor's
-// contraction does not reproduce its own amplitudes bit for bit from run to
-// run (at 743724b either), so its ExpVal is held to 1e-12 of aer's instead;
-// its seeded counts are pinned like the others.
+// executor that evaluates a diagonal, and on the local qaoa runner. qtensor
+// contracts in its own order, so its ExpVal bits are its own: they are
+// pinned like the others and also held to 1e-12 of aer's.
 func TestDiagonalObservableBitsGolden(t *testing.T) {
 	s := launch(t)
 	const n = 8
@@ -67,7 +66,6 @@ func TestDiagonalObservableBitsGolden(t *testing.T) {
 			if math.Abs(*res.ExpVal-exact[request]) > 1e-12 {
 				t.Errorf("%s %s: <H> = %v, aer has %v", backend, request, *res.ExpVal, exact[request])
 			}
-			ev = "unpinned"
 		}
 		got = append(got, fmt.Sprintf("%s %s expval=%s counts=%s", backend, request, ev, digest(res.Counts)))
 	}

@@ -344,7 +344,9 @@ func (n *Network) ContractAll() ([]complex128, error) {
 			break
 		}
 		// Greedy: pick the variable whose elimination yields the smallest
-		// intermediate tensor.
+		// intermediate tensor. Equal costs go to the smaller variable id, so
+		// the contraction order (and every amplitude bit) does not depend on
+		// map iteration order.
 		bestVar, bestCost := -1, 1<<62
 		for v, tis := range varTensors {
 			union := map[int]bool{}
@@ -371,7 +373,7 @@ func (n *Network) ContractAll() ([]complex128, error) {
 				shared = 1
 			}
 			cost := 1 << uint(len(union)-shared)
-			if cost < bestCost {
+			if cost < bestCost || cost == bestCost && v < bestVar {
 				bestCost, bestVar = cost, v
 			}
 		}
