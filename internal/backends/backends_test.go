@@ -30,6 +30,15 @@ func launch(t *testing.T) *core.Session {
 	return s
 }
 
+// localOf unwraps the local executor behind a record's factory result,
+// with or without gradients.
+func localOf(e core.Executor) *local {
+	if g, ok := e.(gradLocal); ok {
+		return g.local
+	}
+	return e.(*local)
+}
+
 func ghz(n int) *circuit.Circuit {
 	c := circuit.New(n)
 	c.H(0)
@@ -172,11 +181,11 @@ func TestMemoryBudgetInfeasible(t *testing.T) {
 
 func TestAerAutomaticSelection(t *testing.T) {
 	env := &core.Env{MemBudgetBytes: 1 << 30}
-	b, err := newAer(env)
+	b, err := aer.open(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := b.(*aer)
+	a := localOf(b)
 	// Clifford -> stabilizer.
 	cl := circuit.New(4)
 	cl.H(0).CX(0, 1).CX(1, 2).CX(2, 3)

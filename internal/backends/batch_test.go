@@ -3,6 +3,7 @@ package backends
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -90,10 +91,10 @@ func TestLocalBackendsBatchParseOnce(t *testing.T) {
 		make  func(*core.Env) (core.Executor, error)
 		cache func(core.Executor) *core.ParseCache
 	}{
-		{"nwqsim", "openmp", newNWQSim, func(e core.Executor) *core.ParseCache { return e.(*nwqsim).cache }},
-		{"aer", "statevector", newAer, func(e core.Executor) *core.ParseCache { return e.(*aer).cache }},
-		{"tnqvm", "exatn-mps", newTNQVM, func(e core.Executor) *core.ParseCache { return e.(*tnqvm).cache }},
-		{"qtensor", "numpy", newQTensor, func(e core.Executor) *core.ParseCache { return e.(*qtensor).cache }},
+		{"nwqsim", "openmp", nwqsim.open, func(e core.Executor) *core.ParseCache { return localOf(e).cache }},
+		{"aer", "statevector", aer.open, func(e core.Executor) *core.ParseCache { return localOf(e).cache }},
+		{"tnqvm", "exatn-mps", tnqvm.open, func(e core.Executor) *core.ParseCache { return localOf(e).cache }},
+		{"qtensor", "numpy", qtensor.open, func(e core.Executor) *core.ParseCache { return localOf(e).cache }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -124,6 +125,65 @@ func TestLocalBackendsBatchParseOnce(t *testing.T) {
 	}
 }
 
+// TestSingleRunsParseOnce pins that single runs go through the parse cache
+// on every local backend and sub-backend: two concurrent Execute calls with
+// one spec parse once, share the cached circuit, and only the dense engines
+// (state vector and distributed) build a fusion plan, once.
+func TestSingleRunsParseOnce(t *testing.T) {
+	env := testEnv(t)
+	spec, err := core.SpecFromCircuit(ghz(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		rec     *record
+		sub     string
+		fusions int64
+	}{
+		{aer, "", 0}, // automatic: a Clifford circuit goes to the stabilizer
+		{aer, "automatic", 0},
+		{aer, "statevector", 1},
+		{aer, "matrix_product_state", 0},
+		{aer, "mps", 0},
+		{aer, "stabilizer", 0},
+		{nwqsim, "", 1},
+		{nwqsim, "mpi", 1},
+		{nwqsim, "openmp", 1},
+		{nwqsim, "cpu", 1},
+		{nwqsim, "amdgpu", 1},
+		{tnqvm, "", 0},
+		{tnqvm, "exatn-mps", 0},
+		{qtensor, "", 0},
+		{qtensor, "numpy", 0},
+		{qtensor, "mpi", 0},
+	}
+	for _, tc := range cases {
+		name := tc.rec.caps.Backend + "/" + tc.sub
+		exec, err := tc.rec.open(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := exec.Execute(spec, core.RunOptions{Shots: 64, Seed: 3, Subbackend: tc.sub}); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+			}()
+		}
+		wg.Wait()
+		cache := localOf(exec).cache
+		if got := cache.Parses(); got != 1 {
+			t.Errorf("%s: %d parses for two runs of one spec, want 1", name, got)
+		}
+		if got := cache.Fusions(); got != tc.fusions {
+			t.Errorf("%s: %d fusion plans, want %d", name, got, tc.fusions)
+		}
+	}
+}
+
 func TestNWQSimMPIBatchPersistentWorld(t *testing.T) {
 	// The mpi sub-backend's batch path keeps one process group and one
 	// communicator world alive across all K bindings, shares the spec-hash
@@ -131,11 +191,11 @@ func TestNWQSimMPIBatchPersistentWorld(t *testing.T) {
 	// element must reproduce exactly what a standalone distributed Execute
 	// with the same derived seed produces.
 	env := testEnv(t)
-	exec, err := newNWQSim(env)
+	exec, err := nwqsim.open(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := exec.(*nwqsim)
+	b := localOf(exec)
 	ansatz := circuit.New(4)
 	ansatz.Name = "mpi-batch"
 	for q := 0; q < 4; q++ {
@@ -230,7 +290,7 @@ func TestBatchMatchesSequentialExecution(t *testing.T) {
 	// Element i of a batch must produce exactly the result a sequential
 	// Execute with the bound circuit and the same derived seed produces.
 	env := testEnv(t)
-	exec, err := newAer(env)
+	exec, err := aer.open(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +327,7 @@ func TestBatchMatchesSequentialExecution(t *testing.T) {
 
 func TestSingleExecuteRejectsParametricSpec(t *testing.T) {
 	env := testEnv(t)
-	exec, err := newAer(env)
+	exec, err := aer.open(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +347,7 @@ func TestNWQSimMPIFallsBackLocal(t *testing.T) {
 	// the same physics the local engine computes directly (seeds are
 	// derived identically on both routes).
 	env := testEnv(t)
-	exec, err := newNWQSim(env)
+	exec, err := nwqsim.open(env)
 	if err != nil {
 		t.Fatal(err)
 	}

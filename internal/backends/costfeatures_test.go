@@ -17,7 +17,7 @@ import (
 // the true untruncated peak.
 func TestBondEstimateBoundsMeasuredPeak(t *testing.T) {
 	env := testEnv(t)
-	exec, err := newAer(env)
+	exec, err := aer.open(env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func newFaulty(env *core.Env) (core.Executor, error) {
 		// schedule-free injector equivalent (rate 0 marks nothing).
 		sched = &faults.Schedule{Rate: 0, Nth: 0}
 	}
-	inner, err := newAer(env)
+	inner, err := aer.open(env)
 	if err != nil {
 		return nil, err
 	}

@@ -2,32 +2,48 @@ package backends
 
 import (
 	"fmt"
+	"slices"
 
 	"qfw/internal/core"
 	"qfw/internal/statevec"
 )
 
-// Shared adjoint-gradient executor of the local state-vector backends:
-// the spec is parsed — and its gradient-aware fusion plan built — once per
-// ansatz through the backend's cache, then every binding runs one adjoint
-// sweep (forward + reverse, three arena-backed states) on the chunked
-// kernels. Bindings fan out across a core-bounded worker pool; the chunked
-// kernel parallelism divides the cores among the in-flight sweeps so a
-// gradient batch never oversubscribes the node.
-func runGradient(cache *core.ParseCache, spec core.CircuitSpec, bindings []core.Bindings, opts core.RunOptions, workers int) ([]core.GradResult, error) {
+// gradLocal is a local executor whose backend differentiates.
+type gradLocal struct{ *local }
+
+// ExecuteGradient implements core.GradientExecutor: the spec is parsed —
+// and its gradient-aware fusion plan built — once per ansatz through the
+// backend's cache, then every binding runs one adjoint sweep (forward +
+// reverse, three arena-backed states) node-local on the chunked kernels.
+// Bindings fan out across a core-bounded worker pool; the kernel
+// parallelism divides the cores among the in-flight sweeps so a gradient
+// batch never oversubscribes the node. Sub-backends outside the capability
+// row's GradientSubs (when it lists any) are refused rather than silently
+// rerouted.
+func (g gradLocal) ExecuteGradient(spec core.CircuitSpec, bindings []core.Bindings, opts core.RunOptions) ([]core.GradResult, error) {
+	name := normalizeSub(opts.Subbackend, g.rec.def)
+	if subs := g.rec.caps.GradientSubs; len(subs) > 0 && !slices.Contains(subs, name) {
+		return nil, fmt.Errorf("%s: adjoint gradients need the statevector sub-backend, got %q", g.Name(), name)
+	}
+	c, err := parsed(g.cache, spec, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkGradientBudget(c.NQubits, g.env.MemBudgetBytes); err != nil {
+		return nil, err
+	}
 	if opts.Observable == nil {
 		return nil, fmt.Errorf("backend: gradient execution requires an observable")
 	}
-	base, gplan, err := cache.GetGrad(spec)
+	_, gplan, err := g.cache.GetGrad(spec)
 	if err != nil {
 		return nil, fmt.Errorf("backend: bad circuit spec: %w", err)
 	}
-	obs := gradObsFor(opts.Observable, base.NQubits)
 	maps := make([]map[string]float64, len(bindings))
 	for i, b := range bindings {
 		maps[i] = b
 	}
-	evals, err := statevec.GradientAdjointBatch(gplan, maps, obs, workers)
+	evals, err := statevec.GradientAdjointBatch(gplan, maps, gradObsFor(opts.Observable, c.NQubits), g.workers(g.rec.gradWidth, opts))
 	if err != nil {
 		return nil, err
 	}

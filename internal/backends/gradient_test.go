@@ -133,11 +133,11 @@ func TestGradientRequiresObservable(t *testing.T) {
 // gradient plan for a whole batch.
 func TestGradientPlansOncePerBatch(t *testing.T) {
 	env := testEnv(t)
-	exec, err := newAer(env)
+	exec, err := aer.open(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := exec.(*aer)
+	b := exec.(core.GradientExecutor)
 	spec, err := core.SpecFromParametric(gradAnsatz())
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestGradientPlansOncePerBatch(t *testing.T) {
 	if _, err := b.ExecuteGradient(spec, bindings, core.RunOptions{Observable: gradTestObs}); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.cache.Grads(); got != 1 {
+	if got := localOf(exec).cache.Grads(); got != 1 {
 		t.Fatalf("gradient plans built %d, want 1 per ansatz", got)
 	}
 }

@@ -50,8 +50,8 @@ func TestMPSBatchCompileOncePerSpec(t *testing.T) {
 		make  func(*core.Env) (core.Executor, error)
 		cache func(core.Executor) *core.ParseCache
 	}{
-		{"aer", "matrix_product_state", newAer, func(e core.Executor) *core.ParseCache { return e.(*aer).cache }},
-		{"tnqvm", "exatn-mps", newTNQVM, func(e core.Executor) *core.ParseCache { return e.(*tnqvm).cache }},
+		{"aer", "matrix_product_state", aer.open, func(e core.Executor) *core.ParseCache { return localOf(e).cache }},
+		{"tnqvm", "exatn-mps", tnqvm.open, func(e core.Executor) *core.ParseCache { return localOf(e).cache }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,7 +96,7 @@ func TestMPSBatchMatchesStandaloneExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := newAer(env)
+	exec, err := aer.open(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestMPSBatchMatchesStandaloneExecute(t *testing.T) {
 // reported fidelity >= 0.999.
 func TestAerMPSTFIM64Fidelity(t *testing.T) {
 	env := testEnv(t)
-	exec, err := newAer(env)
+	exec, err := aer.open(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestAutoRoutesLargeNearestNeighbourToMPS(t *testing.T) {
 	env := testEnv(t)
 	execs := map[string]core.Executor{}
 	for name, make := range map[string]func(*core.Env) (core.Executor, error){
-		"aer": newAer, "nwqsim": newNWQSim, "qtensor": newQTensor, "tnqvm": newTNQVM,
+		"aer": aer.open, "nwqsim": nwqsim.open, "qtensor": qtensor.open, "tnqvm": tnqvm.open,
 	} {
 		e, err := make(env)
 		if err != nil {
@@ -212,7 +212,7 @@ func TestAutoRoutesLargeNearestNeighbourToMPS(t *testing.T) {
 // more discarded weight than the default.
 func TestMPSRunOptionsKnobs(t *testing.T) {
 	env := testEnv(t)
-	exec, err := newAer(env)
+	exec, err := aer.open(env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,3 +157,24 @@ func TestParseCacheMemoPropagatesBuildError(t *testing.T) {
 }
 
 var errTest = errors.New("boom")
+
+// TestParseCacheBound pins the cache's size bound: every executor now
+// parses single runs through its cache too, so a stream of distinct specs
+// (one fresh QUBO per solve) must not keep more than 32 of them alive.
+func TestParseCacheBound(t *testing.T) {
+	pc := NewParseCache()
+	for i := 0; i < 33; i++ {
+		c := circuit.New(2)
+		c.RX(0, circuit.Bound(float64(i)))
+		spec, err := SpecFromCircuit(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pc.Get(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := pc.Len(); got > 32 {
+		t.Fatalf("cache holds %d specs after 33 inserts, want <= 32", got)
+	}
+}

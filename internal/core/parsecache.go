@@ -9,10 +9,12 @@ import (
 	"qfw/internal/cost"
 )
 
-// maxCachedSpecs bounds a ParseCache; a variational workload keeps a
-// handful of distinct ansätze alive, so the bound is generous and the
-// eviction policy (drop everything) trivially correct.
-const maxCachedSpecs = 256
+// maxCachedSpecs bounds a ParseCache; a workload keeps a handful of
+// distinct specs alive (at most 6 per cache in the benchmark's route mix),
+// so the bound is generous and the eviction policy (drop everything)
+// trivially correct. Executors cache single runs' plans too, so a stream of
+// fresh specs (one QUBO per variational solve) holds at most this many.
+const maxCachedSpecs = 32
 
 // ParseCache deduplicates QASM parsing by spec hash. Concurrent Get calls
 // for the same spec are single-flighted: exactly one parse runs, everyone

@@ -507,10 +507,13 @@ func Simulate(c *circuit.Circuit, shots int, rng *rand.Rand) (map[string]int, er
 	if err != nil {
 		return nil, err
 	}
-	return sampleAmplitudes(amps, c.NQubits, shots, rng), nil
+	return SampleAmplitudes(amps, c.NQubits, shots, rng), nil
 }
 
-func sampleAmplitudes(amps []complex128, n, shots int, rng *rand.Rand) map[string]int {
+// SampleAmplitudes draws shots outcomes from an amplitude vector over n
+// qubits (qubit 0 least significant) by bisecting the cumulative |a|² with
+// one rng.Float64 per shot, and returns nil when shots <= 0.
+func SampleAmplitudes(amps []complex128, n, shots int, rng *rand.Rand) map[string]int {
 	if shots <= 0 {
 		return nil
 	}
