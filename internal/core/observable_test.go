@@ -250,3 +250,35 @@ func FuzzObservableJSON(f *testing.F) {
 		}
 	})
 }
+
+// TestFromCountsIsBitwiseRepeatable: FromCounts is the ionq backend's
+// ExpVal, so one histogram must give one value, bit for bit, whatever order
+// the map iterates in. A 644-key histogram of a 10-qubit Ising observable
+// makes a float sum in map order differ within a few calls.
+func TestFromCountsIsBitwiseRepeatable(t *testing.T) {
+	const n = 10
+	rng := rand.New(rand.NewSource(5))
+	obs := &Observable{Fields: make([]float64, n)}
+	for q := range obs.Fields {
+		obs.Fields[q] = rng.NormFloat64()
+		obs.Couplings = append(obs.Couplings, Coupling{I: q, J: (q + 1) % n, V: rng.NormFloat64()})
+	}
+	counts := map[string]int{}
+	for len(counts) < 644 {
+		counts[formatKey(rng.Intn(1<<n), n)] = 1 + rng.Intn(50)
+	}
+	first := math.Float64bits(obs.FromCounts(counts))
+	for i := 0; i < 50; i++ {
+		if got := math.Float64bits(obs.FromCounts(counts)); got != first {
+			t.Fatalf("call %d: FromCounts bits %x, first call %x", i, got, first)
+		}
+	}
+}
+
+func formatKey(idx, n int) string {
+	key := make([]byte, n)
+	for q := 0; q < n; q++ {
+		key[n-1-q] = '0' + byte(idx>>q&1)
+	}
+	return string(key)
+}

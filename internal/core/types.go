@@ -23,8 +23,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 
@@ -430,11 +432,13 @@ func (o *Observable) IsDiagonal() bool {
 }
 
 // FromCounts estimates <H> from a measurement histogram (the only option
-// for hardware and cloud backends).
+// for hardware and cloud backends). It sums in sorted key order, so the
+// same histogram always gives the same bits.
 func (o *Observable) FromCounts(counts map[string]int) float64 {
 	var total int
 	var acc float64
-	for key, n := range counts {
+	for _, key := range slices.Sorted(maps.Keys(counts)) {
+		n := counts[key]
 		acc += float64(n) * o.EnergyOfKey(key)
 		total += n
 	}

@@ -6,9 +6,11 @@ package qaoa
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 
 	"qfw/internal/circuit"
 	"qfw/internal/core"
@@ -103,12 +105,14 @@ func BindParams(params []float64) map[string]float64 {
 }
 
 // ExpectationFromCounts estimates <H> from measurement counts of a diagonal
-// Hamiltonian (keys use the Qiskit convention: qubit 0 rightmost).
+// Hamiltonian (keys use the Qiskit convention: qubit 0 rightmost). It sums
+// in sorted key order, so the same histogram always gives the same bits.
 func ExpectationFromCounts(h *pauli.Hamiltonian, counts map[string]int) float64 {
 	var total int
 	var acc float64
 	bits := make([]int, h.NQubits)
-	for key, n := range counts {
+	for _, key := range slices.Sorted(maps.Keys(counts)) {
+		n := counts[key]
 		for q := 0; q < h.NQubits; q++ {
 			if key[len(key)-1-q] == '1' {
 				bits[q] = 1
@@ -621,11 +625,13 @@ func solveGradient(runner Runner, ansatz *circuit.Circuit, h *pauli.Hamiltonian,
 	}
 }
 
-// bestSampled returns the sampled bitstring with the lowest QUBO energy.
+// bestSampled returns the sampled bitstring with the lowest QUBO energy;
+// of equal energies (a QUBO's complement symmetry makes them common) the
+// smaller key wins.
 func bestSampled(q *qubo.QUBO, counts map[string]int) ([]int, float64) {
 	bestE := math.Inf(1)
 	var best []int
-	for key := range counts {
+	for _, key := range slices.Sorted(maps.Keys(counts)) {
 		bits := make([]int, q.N)
 		for i := 0; i < q.N; i++ {
 			if key[len(key)-1-i] == '1' {

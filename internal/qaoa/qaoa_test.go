@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"qfw/internal/circuit"
@@ -107,4 +108,85 @@ type failingRunner struct{}
 
 func (failingRunner) Run(_ *circuit.Circuit, _ core.RunOptions) (*core.Result, error) {
 	return nil, errors.New("backend unavailable")
+}
+
+// randomHistogram draws k distinct n-bit keys with counts in [1, 50].
+func randomHistogram(rng *rand.Rand, n, k int) map[string]int {
+	counts := map[string]int{}
+	for len(counts) < k {
+		key := make([]byte, n)
+		for i := range key {
+			key[i] = '0' + byte(rng.Intn(2))
+		}
+		counts[string(key)] = 1 + rng.Intn(50)
+	}
+	return counts
+}
+
+// TestExpectationFromCountsIsBitwiseRepeatable: one histogram gives one
+// value, bit for bit, whatever order the map iterates in.
+func TestExpectationFromCountsIsBitwiseRepeatable(t *testing.T) {
+	const n = 10
+	rng := rand.New(rand.NewSource(5))
+	hs := make([]float64, n)
+	js := map[[2]int]float64{}
+	for q := range hs {
+		hs[q] = rng.NormFloat64()
+		js[[2]int{q, (q + 1) % n}] = rng.NormFloat64()
+	}
+	h := pauli.IsingCost(hs, js)
+	counts := randomHistogram(rng, n, 644)
+	first := math.Float64bits(ExpectationFromCounts(h, counts))
+	for i := 0; i < 50; i++ {
+		if got := math.Float64bits(ExpectationFromCounts(h, counts)); got != first {
+			t.Fatalf("call %d: expectation bits %x, first call %x", i, got, first)
+		}
+	}
+}
+
+// TestBestSampledBreaksTiesOnTheSmallerKey: a QUBO whose energy is
+// symmetric under complementing every bit ties each sampled string with its
+// complement, and the answer must not depend on map order.
+func TestBestSampledBreaksTiesOnTheSmallerKey(t *testing.T) {
+	const n = 6
+	q := qubo.New(n)
+	for i := 0; i < n; i++ {
+		j := (i + 1) % n
+		// -(x_i + x_j - 2 x_i x_j): -1 on a cut edge of the ring, 0 otherwise.
+		q.Q[i][i]--
+		q.Q[j][j]--
+		q.Set(i, j, 1)
+	}
+	energy := func(key string) float64 {
+		bits := make([]int, n)
+		for i := range bits {
+			bits[i] = int(key[n-1-i] - '0')
+		}
+		return q.Energy(bits)
+	}
+	counts := randomHistogram(rand.New(rand.NewSource(3)), n, 24)
+	bestE := math.Inf(1)
+	for key := range counts {
+		bestE = math.Min(bestE, energy(key))
+	}
+	var ties []string
+	for key := range counts {
+		if energy(key) == bestE {
+			ties = append(ties, key)
+		}
+	}
+	if len(ties) < 2 {
+		t.Fatalf("histogram has %d keys at the lowest energy %g, want a tie", len(ties), bestE)
+	}
+	want := slices.Min(ties)
+	for i := 0; i < 50; i++ {
+		bits, e := bestSampled(q, counts)
+		got := make([]byte, n)
+		for k, b := range bits {
+			got[n-1-k] = '0' + byte(b)
+		}
+		if string(got) != want || e != bestE {
+			t.Fatalf("call %d: best %s (E=%g), want the smaller tied key %s of %v", i, got, e, want, ties)
+		}
+	}
 }
