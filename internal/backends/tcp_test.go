@@ -66,7 +66,8 @@ func TestFullStackOverTCP(t *testing.T) {
 }
 
 // TestAsyncBatchThroughStack mirrors the variational pattern: many
-// asynchronous submissions in flight, collected out of order.
+// asynchronous exec calls in flight on one connection, collected out of
+// order, and none of them leaves a task behind.
 func TestAsyncBatchThroughStack(t *testing.T) {
 	s := launch(t)
 	f, err := s.Frontend(core.Properties{Backend: "aer", Subbackend: "statevector"})
@@ -97,5 +98,8 @@ func TestAsyncBatchThroughStack(t *testing.T) {
 		if total != 50 {
 			t.Fatalf("pending %d: %d shots", i, total)
 		}
+	}
+	if list, err := f.List(); err != nil || len(list) != 0 {
+		t.Fatalf("task table after the async runs: %v, %v; want empty", list, err)
 	}
 }

@@ -230,33 +230,6 @@ func (b *blockingExec) Execute(spec CircuitSpec, opts RunOptions) (ExecResult, e
 	return ExecResult{Counts: map[string]int{"0": 1}}, nil
 }
 
-func TestQPMRunOnFullQueue(t *testing.T) {
-	exec := &blockingExec{name: "full", started: make(chan struct{}, 16), release: make(chan struct{})}
-	q := newQPMWithQueueCap(exec, 1, nil, 2)
-	defer func() { close(exec.release); q.Close() }()
-	spec := bell(t)
-
-	// First task occupies the single worker; the next two fill the queue.
-	first, err := q.Submit(spec, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = first
-	<-exec.started
-	for i := 0; i < 2; i++ {
-		if _, err := q.Submit(spec, RunOptions{}); err != nil {
-			t.Fatalf("fill %d: %v", i, err)
-		}
-	}
-	id, err := q.Create(spec, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Run(id); err == nil || !strings.Contains(err.Error(), "queue full") {
-		t.Fatalf("Run on full queue = %v, want queue-full error", err)
-	}
-}
-
 func TestQPMSubmitAfterClose(t *testing.T) {
 	q := NewQPM(&fakeExec{name: "closed"}, 1, nil)
 	q.Close()
@@ -270,31 +243,10 @@ func TestQPMSubmitAfterClose(t *testing.T) {
 	q.Close()
 }
 
-func TestQPMDeleteRunningTask(t *testing.T) {
-	exec := &blockingExec{name: "busy", started: make(chan struct{}, 1), release: make(chan struct{})}
-	q := NewQPM(exec, 1, nil)
-	id, err := q.Submit(bell(t), RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-exec.started // the task is now running
-	if err := q.Delete(id); err == nil || !strings.Contains(err.Error(), "running") {
-		t.Fatalf("Delete of running task = %v, want running error", err)
-	}
-	close(exec.release)
-	if _, err := q.Wait(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Delete(id); err != nil {
-		t.Fatalf("Delete after completion: %v", err)
-	}
-	q.Close()
-}
-
 func TestBatchRPCWireFormat(t *testing.T) {
-	// The submit_batch payload must stay JSON-stable: spec once, bindings
+	// The exec_batch payload must stay JSON-stable: spec once, bindings
 	// as an array of name->value maps.
-	req := batchSubmitReq{
+	req := submitReq{
 		Spec:     CircuitSpec{Name: "a", NQubits: 1, QASM: "OPENQASM 2.0;", Params: []string{"t"}},
 		Bindings: []Bindings{{"t": 0.5}},
 		Opts:     RunOptions{Shots: 4},
@@ -303,7 +255,7 @@ func TestBatchRPCWireFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back batchSubmitReq
+	var back submitReq
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}

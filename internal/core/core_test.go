@@ -75,15 +75,12 @@ func TestQPMLifecycle(t *testing.T) {
 	defer q.Close()
 	spec := bell(t)
 
-	id, err := q.Create(spec, RunOptions{Shots: 7})
+	id, err := q.Submit(spec, RunOptions{Shots: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := q.Status(id); st != StatusQueued {
-		t.Fatalf("status %s, want queued", st)
-	}
-	if err := q.Run(id); err != nil {
-		t.Fatal(err)
+	if _, ok := q.List()[id]; !ok {
+		t.Fatalf("submitted task %s not listed", id)
 	}
 	res, err := q.Wait(id)
 	if err != nil {
@@ -95,14 +92,8 @@ func TestQPMLifecycle(t *testing.T) {
 	if res.Timings.TotalMS < 0 || res.Timings.ExecMS < 0 {
 		t.Fatalf("timings %+v", res.Timings)
 	}
-	if st, _ := q.Status(id); st != StatusDone {
+	if st := q.List()[id]; st != StatusDone {
 		t.Fatalf("status %s, want done", st)
-	}
-	if err := q.Delete(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Status(id); err == nil {
-		t.Fatal("deleted task still visible")
 	}
 }
 
@@ -116,7 +107,7 @@ func TestQPMFailurePropagates(t *testing.T) {
 	if _, err := q.Wait(id); err == nil || !strings.Contains(err.Error(), "fake failure") {
 		t.Fatalf("err = %v", err)
 	}
-	if st, _ := q.Status(id); st != StatusFailed {
+	if st := q.List()[id]; st != StatusFailed {
 		t.Fatalf("status %s", st)
 	}
 }
@@ -187,7 +178,8 @@ func TestQPMOverRPC(t *testing.T) {
 	if len(list) != 0 {
 		t.Fatalf("Frontend.Run left tasks behind: %v", list)
 	}
-	// An asynchronous handle owns its task until Delete.
+	// An asynchronous handle is the same exec call, read later: it leaves
+	// nothing behind either.
 	p, err := f.RunAsync(c, RunOptions{Shots: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -195,45 +187,100 @@ func TestQPMOverRPC(t *testing.T) {
 	if res, err = p.Result(); err != nil || res.Counts["00"] != 5 {
 		t.Fatalf("async result %+v, %v", res, err)
 	}
-	if list, err = f.List(); err != nil || len(list) != 1 || list[p.TaskID] != StatusDone {
-		t.Fatalf("list after RunAsync %v, %v; want the one finished task", list, err)
-	}
-	if err := f.Delete(p.TaskID); err != nil {
-		t.Fatal(err)
-	}
 	if list, err = f.List(); err != nil || len(list) != 0 {
-		t.Fatalf("list after Delete %v, %v", list, err)
+		t.Fatalf("list after RunAsync %v, %v; want empty", list, err)
 	}
 }
 
+// TestAsyncPendingStatus: a handle reports running until its reply has
+// arrived and done afterwards, for a single run and a batch alike.
 func TestAsyncPendingStatus(t *testing.T) {
-	q := NewQPM(&fakeExec{name: "async", delay: 50 * time.Millisecond}, 1, nil)
+	g := newGatedExec()
+	q := NewQPM(g, 2, nil)
 	defer q.Close()
-	server := defw.NewServer()
-	server.Register(ServiceName("async"), q)
-	client := defw.NewPipeClient(server)
-	defer func() { client.Close(); server.Close() }()
-	f, _ := NewFrontend(client, Properties{Backend: "async"})
+	defer g.open()
+	f := frontendOver(t, q, false)
 	c := circuit.New(1)
 	c.H(0).MeasureAll()
 	p, err := f.RunAsync(c, RunOptions{Shots: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// While running, status should be queued or running, not done.
-	st, err := p.Status()
+	pb, err := f.RunBatchAsync(c, []Bindings{nil, nil}, RunOptions{Shots: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st == StatusDone {
-		t.Fatal("task done implausibly fast")
+	if st, bst := p.Status(), pb.Status(); st != StatusRunning || bst != StatusRunning {
+		t.Fatalf("behind a closed gate: status %s, batch status %s; want running", st, bst)
 	}
+	g.open()
 	res, err := p.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Counts["00"] != 3 {
+	if res.Counts["00"] != 1 {
 		t.Fatalf("counts %v", res.Counts)
+	}
+	if results, err := pb.Results(); err != nil || len(results) != pb.N {
+		t.Fatalf("batch results %v, %v; want %d", results, err, pb.N)
+	}
+	if st, bst := p.Status(), pb.Status(); st != StatusDone || bst != StatusDone {
+		t.Fatalf("after the replies: status %s, batch status %s; want done", st, bst)
+	}
+}
+
+// TestDeadClientLeavesNoTask: a client that dies with an asynchronous run
+// and batch in flight leaves nothing in the QPM's table once they finish.
+func TestDeadClientLeavesNoTask(t *testing.T) {
+	g := newGatedExec()
+	q := NewQPM(g, 2, nil)
+	defer q.Close()
+	defer g.open()
+	server := defw.NewServer()
+	server.Register(ServiceName("gated"), q)
+	client := defw.NewPipeClient(server)
+	f, err := NewFrontend(client, Properties{Backend: "gated"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := circuit.New(1)
+	c.H(0).MeasureAll()
+	p, err := f.RunAsync(c, RunOptions{Shots: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := f.RunBatchAsync(c, []Bindings{nil, nil, nil}, RunOptions{Shots: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(q.List()) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the two calls never reached the QPM: %v", q.List())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	client.Close()
+	if _, err := p.Result(); err == nil {
+		t.Fatal("a run on a closed connection returned a result")
+	}
+	if _, err := pb.Results(); err == nil {
+		t.Fatal("a batch on a closed connection returned results")
+	}
+	g.open()
+	server.Close() // returns once the dead connection's handlers have
+	waitIdle(t, q)
+
+	second := defw.NewServer()
+	second.Register(ServiceName("gated"), q)
+	client2 := defw.NewPipeClient(second)
+	defer func() { client2.Close(); second.Close() }()
+	f2, err := NewFrontend(client2, Properties{Backend: "gated"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if list, err := f2.List(); err != nil || len(list) != 0 {
+		t.Fatalf("task table after the dead client's calls finished: %v, %v; want empty", list, err)
 	}
 }
 
@@ -258,10 +305,10 @@ func TestUnknownMethodAndBadPayload(t *testing.T) {
 	if _, err := q.Handle("nope", nil); err == nil {
 		t.Fatal("unknown method accepted")
 	}
-	if _, err := q.Handle("submit", []byte("not json")); err == nil {
+	if _, err := q.Handle("exec", []byte("not json")); err == nil {
 		t.Fatal("bad payload accepted")
 	}
-	if _, err := q.Create(CircuitSpec{}, RunOptions{}); err == nil {
+	if _, err := q.Submit(CircuitSpec{}, RunOptions{}); err == nil {
 		t.Fatal("empty spec accepted")
 	}
 }

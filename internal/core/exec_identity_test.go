@@ -25,9 +25,10 @@ func physicsOf(r *core.Result) physics {
 }
 
 // TestExecMatchesSubmitWaitOverTCP pins that the one-round-trip exec RPCs
-// are the submit → wait path and nothing else: over a real TCP DEFw
-// connection to the aer statevector engine, the same seeded request returns
-// a bit-identical Result, batch and gradient either way.
+// are the submit → wait path and nothing else: the same seeded request
+// through the Frontend over a real TCP DEFw connection and through the
+// in-process QPM.Submit* + Wait* of the aer statevector engine returns a
+// bit-identical Result, batch and gradient alike.
 func TestExecMatchesSubmitWaitOverTCP(t *testing.T) {
 	sess, err := core.Launch(core.Config{
 		Machine:  cluster.Frontier(2),
@@ -50,7 +51,15 @@ func TestExecMatchesSubmitWaitOverTCP(t *testing.T) {
 	ansatz.MeasureAll()
 	bindings := []core.Bindings{{"a": 0.3, "b": -1.1}, {"a": 1.7, "b": 0.4}, {"a": -0.9, "b": 2.2}}
 	obs := &core.Observable{Fields: []float64{0.5, -1, 0.25}, Couplings: []core.Coupling{{I: 0, J: 2, V: 0.75}}}
-	opts := core.RunOptions{Shots: 300, Seed: 17, Observable: obs}
+	opts := core.RunOptions{Shots: 300, Seed: 17, Observable: obs, Subbackend: "statevector"}
+	qpm := sess.QPM("aer")
+	spec, err := core.SpecFromParametric(ansatz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The in-process submissions stay in the table until the end; the
+	// Frontend's calls must leave nothing beside them.
+	submitted := map[string]bool{}
 
 	t.Run("single", func(t *testing.T) {
 		bound := ansatz.Bind(bindings[0])
@@ -58,22 +67,24 @@ func TestExecMatchesSubmitWaitOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pending, err := front.RunAsync(bound, opts)
+		boundSpec, err := core.SpecFromCircuit(bound)
 		if err != nil {
 			t.Fatal(err)
 		}
-		async, err := pending.Result()
+		id, err := qpm.Submit(boundSpec, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := front.Delete(pending.TaskID); err != nil {
+		submitted[id] = true
+		async, err := qpm.Wait(id)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if len(sync.Counts) < 2 || sync.ExpVal == nil {
 			t.Fatalf("degenerate result %+v", sync)
 		}
 		if !reflect.DeepEqual(physicsOf(sync), physicsOf(async)) {
-			t.Fatalf("exec %+v != submit+wait %+v", physicsOf(sync), physicsOf(async))
+			t.Fatalf("exec %+v != Submit+Wait %+v", physicsOf(sync), physicsOf(async))
 		}
 		if sync.Timings.TotalMS != sync.Timings.Sum() || sync.Timings.Attempts != 1 {
 			t.Fatalf("exec timings %+v", sync.Timings)
@@ -85,23 +96,26 @@ func TestExecMatchesSubmitWaitOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pending, err := front.RunBatchAsync(ansatz, bindings, opts)
+		id, err := qpm.SubmitBatch(spec, bindings, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		async, err := pending.Results()
+		submitted[id] = true
+		async, errs, err := qpm.WaitBatch(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := front.Delete(pending.BatchID); err != nil {
-			t.Fatal(err)
+		for i, e := range errs {
+			if e != "" {
+				t.Fatalf("element %d: %s", i, e)
+			}
 		}
 		if len(sync) != len(bindings) || len(async) != len(bindings) {
 			t.Fatalf("%d / %d results for %d bindings", len(sync), len(async), len(bindings))
 		}
 		for i := range bindings {
 			if !reflect.DeepEqual(physicsOf(sync[i]), physicsOf(async[i])) {
-				t.Fatalf("element %d: exec_batch %+v != submit_batch+wait_batch %+v", i, physicsOf(sync[i]), physicsOf(async[i]))
+				t.Fatalf("element %d: exec_batch %+v != SubmitBatch+WaitBatch %+v", i, physicsOf(sync[i]), physicsOf(async[i]))
 			}
 		}
 		if reflect.DeepEqual(sync[0].Counts, sync[1].Counts) {
@@ -115,31 +129,30 @@ func TestExecMatchesSubmitWaitOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, err := core.SpecFromParametric(ansatz)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qpm := sess.QPM("aer")
 		id, err := qpm.SubmitGradient(spec, bindings, gopts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		submitted[id] = true
 		async, err := qpm.WaitGradient(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := qpm.Delete(id); err != nil {
-			t.Fatal(err)
-		}
 		if !reflect.DeepEqual(sync, async) {
-			t.Fatalf("exec_grad %+v != submit_grad+wait_grad %+v", sync, async)
+			t.Fatalf("exec_grad %+v != SubmitGradient+WaitGradient %+v", sync, async)
 		}
 		if len(sync) != len(bindings) || len(sync[0].Grad) != 2 {
 			t.Fatalf("gradient shape %+v", sync)
 		}
 	})
 
-	if list, err := front.List(); err != nil || len(list) != 0 {
-		t.Fatalf("task table at the end: %v, %v; want empty", list, err)
+	list, err := front.List()
+	if err != nil || len(list) != len(submitted) {
+		t.Fatalf("task table at the end: %v, %v; want only the in-process submissions %v", list, err, submitted)
+	}
+	for id, st := range list {
+		if !submitted[id] || st != core.StatusDone {
+			t.Fatalf("task table at the end: %v; want only the in-process submissions %v, done", list, submitted)
+		}
 	}
 }

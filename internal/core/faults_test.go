@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"strings"
 	"testing"
 	"time"
@@ -219,69 +218,6 @@ func TestGradientRetryRecovers(t *testing.T) {
 	}
 	if inj.Injected() != 1 {
 		t.Fatalf("injected %d faults", inj.Injected())
-	}
-}
-
-// TestWaitCtxCancel: a cancelled context unblocks the wait while the task
-// keeps running.
-func TestWaitCtxCancel(t *testing.T) {
-	exec := &fakeExec{name: "slow", delay: 200 * time.Millisecond}
-	q := NewQPM(exec, 1, trace.NewRecorder())
-	defer q.Close()
-	id, err := q.Submit(bell(t), RunOptions{Shots: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := q.WaitCtx(ctx, id); err == nil || !strings.Contains(err.Error(), context.DeadlineExceeded.Error()) {
-		t.Fatalf("want context deadline error, got %v", err)
-	}
-	// The task itself is unaffected: a plain Wait still completes it.
-	if _, err := q.Wait(id); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDeleteDeadlineExpired: a running task whose deadline has passed can
-// be deleted (no orphaned entry holding the table), while a running task
-// within its deadline still refuses.
-func TestDeleteDeadlineExpired(t *testing.T) {
-	inj := faults.NewInjector(faults.Schedule{Rate: 1, Times: -1, Mode: "hang"})
-	defer inj.Close()
-	q := NewQPM(NewFaultyExecutor(&fakeExec{name: "fake"}, inj), 1, trace.NewRecorder())
-	defer q.Close()
-	id, err := q.Submit(bell(t), RunOptions{Shots: 1, TimeoutMS: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the task is actually running, then confirm the refusal
-	// window holds before the deadline.
-	deadline := time.Now().Add(time.Second)
-	for {
-		st, err := q.Status(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st == StatusRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("task never started (status %s)", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := q.Delete(id); err == nil {
-		t.Fatal("running task within deadline deleted")
-	}
-	if _, err := q.Wait(id); !IsDeadlineExceeded(err) {
-		t.Fatalf("want deadline exceeded, got %v", err)
-	}
-	if err := q.Delete(id); err != nil {
-		t.Fatalf("deadline-expired task refused deletion: %v", err)
-	}
-	if _, err := q.Status(id); err == nil {
-		t.Fatal("deleted task still listed")
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -22,7 +23,9 @@ func ServiceName(backend string) string { return "qpm." + backend }
 
 // Frontend is the application-side handle (the QFwBackend analog): it
 // serializes circuits, issues RPCs to the selected QPM, and unmarshals the
-// unified results. It is safe for concurrent use.
+// unified results. It is safe for concurrent use. Asynchrony is the
+// client's: RunAsync keeps an exec call in flight on the shared DEFw
+// connection, and the QPM holds no task on the caller's behalf.
 type Frontend struct {
 	client *defw.Client
 	props  Properties
@@ -43,10 +46,32 @@ func NewFrontend(client *defw.Client, props Properties) (*Frontend, error) {
 // Properties returns the frontend's backend selection.
 func (f *Frontend) Properties() Properties { return f.props }
 
-// call is the one path every Frontend RPC takes: marshal req, one DEFw call
-// to the selected backend's QPM service, unmarshal the reply into resp.
+// issue is the one path every Frontend RPC takes: marshal req and send it
+// to the selected backend's QPM service without waiting for the reply.
+func (f *Frontend) issue(method string, req any) (*defw.Call, error) {
+	payload, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	return f.client.Go(ServiceName(f.props.Backend), method, payload), nil
+}
+
+// reply waits for an issued call and unmarshals its reply into resp.
+func reply(call *defw.Call, resp any) error {
+	out, err := call.Result()
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(out, resp)
+}
+
+// call is issue followed by reply: one synchronous round trip.
 func (f *Frontend) call(method string, req, resp any) error {
-	return defw.CallJSON(f.client, ServiceName(f.props.Backend), method, req, resp)
+	c, err := f.issue(method, req)
+	if err != nil {
+		return err
+	}
+	return reply(c, resp)
 }
 
 func (f *Frontend) withSubbackend(opts RunOptions) RunOptions {
@@ -70,71 +95,67 @@ func (f *Frontend) batchReq(c *circuit.Circuit, bindings []Bindings, opts RunOpt
 }
 
 // Run executes a circuit synchronously in one "exec" round trip and returns
-// the unified result. The QPM reaps the task before replying, so a
-// synchronous caller leaves nothing behind in the daemon's task table.
+// the unified result. The QPM reaps the task before replying, so a caller
+// leaves nothing behind in the daemon's task table.
 func (f *Frontend) Run(c *circuit.Circuit, opts RunOptions) (*Result, error) {
-	req, err := f.singleReq(c, opts)
+	p, err := f.RunAsync(c, opts)
 	if err != nil {
 		return nil, err
 	}
-	var res Result
-	if err := f.call("exec", req, &res); err != nil {
-		return nil, err
+	return p.Result()
+}
+
+// inflight is one issued call whose reply may not have arrived yet.
+type inflight struct{ call *defw.Call }
+
+// Status reports StatusRunning until the reply has arrived, then StatusDone;
+// it never blocks.
+func (p inflight) Status() Status {
+	select {
+	case <-p.call.Done:
+		return StatusDone
+	default:
+		return StatusRunning
 	}
-	return &res, nil
 }
 
-// Pending is an in-flight asynchronous execution. The handle owns its task:
-// it stays in the QPM's table (Result may be read again) until
-// Frontend.Delete(TaskID) removes it.
-type Pending struct {
-	front  *Frontend
-	TaskID string
-}
+// Pending is an in-flight asynchronous execution: one exec call.
+type Pending struct{ inflight }
 
-// Result blocks until the task finishes and returns the unified result.
+// Result blocks until the reply arrives and returns the unified result.
 func (p *Pending) Result() (*Result, error) {
 	var res Result
-	if err := p.front.call("wait", idMsg{ID: p.TaskID}, &res); err != nil {
+	if err := reply(p.call, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
 }
 
-// Status polls the task state without blocking.
-func (p *Pending) Status() (Status, error) { return p.front.status(p.TaskID) }
-
-func (f *Frontend) status(id string) (Status, error) {
-	var st statusMsg
-	err := f.call("status", idMsg{ID: id}, &st)
-	return st.Status, err
-}
-
-// RunAsync submits a circuit and returns immediately with a handle — the
-// non-blocking path variational workloads use to keep many circuit
-// evaluations in flight per optimizer iteration.
+// RunAsync issues a circuit's "exec" call and returns immediately with a
+// handle — the non-blocking path variational workloads use to keep many
+// circuit evaluations in flight per optimizer iteration. DEFw multiplexes
+// the calls on one connection by correlation ID.
 func (f *Frontend) RunAsync(c *circuit.Circuit, opts RunOptions) (*Pending, error) {
 	req, err := f.singleReq(c, opts)
 	if err != nil {
 		return nil, err
 	}
-	var id idMsg
-	if err := f.call("submit", req, &id); err != nil {
+	call, err := f.issue("exec", req)
+	if err != nil {
 		return nil, err
 	}
-	return &Pending{front: f, TaskID: id.ID}, nil
+	return &Pending{inflight{call}}, nil
 }
 
-// PendingBatch is an in-flight asynchronous batch execution; like Pending it
-// owns its task until Frontend.Delete(BatchID).
+// PendingBatch is an in-flight asynchronous batch execution: one exec_batch
+// call over N bindings.
 type PendingBatch struct {
-	front   *Frontend
-	BatchID string
-	N       int
+	inflight
+	N int
 }
 
 // RunBatchAsync ships the (possibly parametric) circuit once plus the
-// binding list in a single submit_batch RPC and returns immediately — the
+// binding list in a single exec_batch call and returns immediately — the
 // batched analog of RunAsync. One optimizer iteration's candidate set costs
 // one round trip instead of K.
 func (f *Frontend) RunBatchAsync(c *circuit.Circuit, bindings []Bindings, opts RunOptions) (*PendingBatch, error) {
@@ -142,53 +163,39 @@ func (f *Frontend) RunBatchAsync(c *circuit.Circuit, bindings []Bindings, opts R
 	if err != nil {
 		return nil, err
 	}
-	var id idMsg
-	if err := f.call("submit_batch", req, &id); err != nil {
+	call, err := f.issue("exec_batch", req)
+	if err != nil {
 		return nil, err
 	}
-	return &PendingBatch{front: f, BatchID: id.ID, N: len(bindings)}, nil
+	return &PendingBatch{inflight{call}, len(bindings)}, nil
 }
 
-// unpack turns a batch reply into the Frontend's return convention: on
-// element failures the partial results (nil at the failed slots) together
-// with the first element error.
-func (r batchWaitResp) unpack() ([]*Result, error) {
-	for i, e := range r.Errs {
+// Results blocks until the reply arrives and returns the ordered results.
+// On element failures it returns the partial results (nil at the failed
+// slots) together with the first element error.
+func (p *PendingBatch) Results() ([]*Result, error) {
+	var resp batchReply
+	if err := reply(p.call, &resp); err != nil {
+		return nil, err
+	}
+	for i, e := range resp.Errs {
 		if e != "" {
-			return r.Results, fmt.Errorf("core: batch element %d: %s", i, e)
+			return resp.Results, fmt.Errorf("core: batch element %d: %s", i, e)
 		}
 	}
-	return r.Results, nil
+	return resp.Results, nil
 }
-
-// Results blocks until every element finishes and returns the ordered
-// results. On element failures it returns the partial results (nil at the
-// failed slots) together with the first element error.
-func (p *PendingBatch) Results() ([]*Result, error) {
-	var resp batchWaitResp
-	if err := p.front.call("wait_batch", idMsg{ID: p.BatchID}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.unpack()
-}
-
-// Status polls the batch state without blocking.
-func (p *PendingBatch) Status() (Status, error) { return p.front.status(p.BatchID) }
 
 // RunBatch executes K parameter bindings of one circuit synchronously in a
 // single exec_batch round trip and returns the ordered results (partial
 // results plus the first element error when elements fail). The QPM reaps
 // the batch before replying.
 func (f *Frontend) RunBatch(c *circuit.Circuit, bindings []Bindings, opts RunOptions) ([]*Result, error) {
-	req, err := f.batchReq(c, bindings, opts)
+	p, err := f.RunBatchAsync(c, bindings, opts)
 	if err != nil {
 		return nil, err
 	}
-	var resp batchWaitResp
-	if err := f.call("exec_batch", req, &resp); err != nil {
-		return nil, err
-	}
-	return resp.unpack()
+	return p.Results()
 }
 
 // Capabilities fetches the backend's Table-1 capability row.
@@ -232,7 +239,7 @@ func (f *Frontend) RunGradient(c *circuit.Circuit, bindings []Bindings, opts Run
 	if err != nil {
 		return nil, err
 	}
-	var resp gradWaitResp
+	var resp gradReply
 	if err := f.call("exec_grad", req, &resp); err != nil {
 		return nil, err
 	}
@@ -240,12 +247,6 @@ func (f *Frontend) RunGradient(c *circuit.Circuit, bindings []Bindings, opts Run
 		return nil, fmt.Errorf("core: gradient batch returned %d results for %d bindings", len(resp.Results), len(bindings))
 	}
 	return resp.Results, nil
-}
-
-// Delete removes a finished task from the QPM — how the owner of an
-// asynchronous handle releases it.
-func (f *Frontend) Delete(taskID string) error {
-	return f.call("delete", idMsg{ID: taskID}, nil)
 }
 
 // List fetches the QPM's task table.

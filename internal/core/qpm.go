@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -16,7 +15,7 @@ import (
 // jobKind describes one of the three kinds of job: the infix of its IDs
 // ("<backend>-<infix>N") and the noun its error messages use. Beyond those,
 // a kind decides only which executor call serves the job (see work):
-// registration, the status lifecycle, waiting and deletion are shared.
+// registration, the status lifecycle, waiting and reaping are shared.
 type jobKind struct{ infix, noun string }
 
 var (
@@ -40,34 +39,14 @@ type job struct {
 	created  time.Time
 	deadline time.Time // zero = none
 
-	mu        sync.Mutex
-	status    Status
-	cancelled bool
-	pending   int           // work items enqueued and not yet finished
-	done      chan struct{} // closed when the last work item finishes
+	mu      sync.Mutex
+	status  Status
+	pending int           // work items enqueued and not yet finished
+	done    chan struct{} // closed when the last work item finishes
 
 	results []*Result    // per slot; nil where the slot failed (unused by gradients)
 	errs    []string     // per slot; "" for success
 	grads   []GradResult // kindGradient: one per binding
-}
-
-func (j *job) snapshotStatus() Status {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status
-}
-
-// begin admits one work item to a worker: Queued → Running. It reports false
-// for a job deleted while the item sat in the queue — the item still reaches
-// a worker but must not trigger a backend execution.
-func (j *job) begin() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.cancelled {
-		return false
-	}
-	j.status = StatusRunning
-	return true
 }
 
 // failure is the error of a job that succeeds or fails whole.
@@ -278,8 +257,8 @@ func (q *QPM) admitting() error {
 	return nil
 }
 
-// Quiesce closes admission without stopping the workers: subsequent Create
-// and Submit* calls fail with ErrDraining while already-queued work keeps
+// Quiesce closes admission without stopping the workers: subsequent Submit*
+// and Exec* calls fail with ErrDraining while already-queued work keeps
 // executing. It is the first half of a graceful drain.
 func (q *QPM) Quiesce() {
 	q.mu.Lock()
@@ -393,50 +372,19 @@ func (q *QPM) register(kind *jobKind, spec CircuitSpec, bindings []Bindings, opt
 	return j, nil
 }
 
-// Create registers a circuit+options as a new task without running it.
-func (q *QPM) Create(spec CircuitSpec, opts RunOptions) (string, error) {
-	return q.submit(kindSingle, spec, nil, opts, 0)
-}
-
-// Run enqueues a previously created task. When the queue refuses it the
-// task stays Queued in the table — the caller holds its id and may Run it
-// again or Delete it.
-func (q *QPM) Run(id string) error {
-	j, err := q.lookup(id, kindSingle)
-	if err != nil {
-		return err
-	}
-	// A second "run" of one id must not execute it twice and close done twice.
-	j.mu.Lock()
-	fresh := j.pending == 0 && j.status == StatusQueued
-	if fresh {
-		j.pending = 1
-	}
-	j.mu.Unlock()
-	if !fresh {
-		return fmt.Errorf("qpm[%s]: task %s already run", q.backend, id)
-	}
-	err = q.enqueue(func(worker string) { q.work(j, 0, 1, worker) })
-	if err != nil {
-		j.mu.Lock()
-		j.pending = 0
-		j.mu.Unlock()
-	}
-	return err
-}
-
-// Submit is Create followed by Run. A task the queue refuses is unregistered
-// again: the caller never learns its id, so nobody could delete it later.
+// Submit registers and enqueues one circuit. A task the queue refuses is
+// unregistered again: the caller never learns its id, so nothing could
+// reap it later.
 func (q *QPM) Submit(spec CircuitSpec, opts RunOptions) (string, error) {
-	id, err := q.Create(spec, opts)
+	j, err := q.register(kindSingle, spec, nil, opts, 1)
 	if err != nil {
 		return "", err
 	}
-	if err := q.Run(id); err != nil {
-		q.reap(id)
+	if err := q.enqueue(func(worker string) { q.work(j, 0, 1, worker) }); err != nil {
+		q.reap(j.id)
 		return "", err
 	}
-	return id, nil
+	return j.id, nil
 }
 
 // SubmitBatch registers and enqueues one parametric batch: a single spec
@@ -484,10 +432,10 @@ func (q *QPM) submit(kind *jobKind, spec CircuitSpec, bindings []Bindings, opts 
 	return j.id, nil
 }
 
-// Exec is the blocking form of Submit: Submit → Wait → Delete, so it is the
+// Exec is the blocking form of Submit: Submit → Wait → reap, so it is the
 // same execution path with the task reaped before the result is returned —
-// on success and on failure alike. It is what the "exec" RPC serves, and
-// what a synchronous caller should use: nothing is left in the task table.
+// on success and on failure alike. It is what the "exec" RPC serves: nothing
+// is left in the task table.
 func (q *QPM) Exec(spec CircuitSpec, opts RunOptions) (*Result, error) {
 	id, err := q.Submit(spec, opts)
 	if err != nil {
@@ -518,10 +466,13 @@ func (q *QPM) ExecGradient(spec CircuitSpec, bindings []Bindings, opts RunOption
 	return q.WaitGradient(id)
 }
 
-// reap deletes a job its blocking caller has waited out. A finished or
-// never-enqueued job always deletes; the one possible error is that a
-// client already deleted it by id, which leaves nothing to do.
-func (q *QPM) reap(id string) { _ = q.Delete(id) }
+// reap removes a job from the table once its blocking caller has waited it
+// out, or once the queue refused it.
+func (q *QPM) reap(id string) {
+	q.mu.Lock()
+	delete(q.jobs, id)
+	q.mu.Unlock()
+}
 
 // fail retires one work item without executing it: its slots take msg as
 // their error.
@@ -558,10 +509,9 @@ func (q *QPM) finish(j *job) {
 // work is one queued work item: slots [lo, hi) of j on a QRC worker. The
 // kinds differ only in the executor call made here.
 func (q *QPM) work(j *job, lo, hi int, worker string) {
-	if !j.begin() {
-		q.fail(j, lo, hi, "cancelled")
-		return
-	}
+	j.mu.Lock()
+	j.status = StatusRunning
+	j.mu.Unlock()
 	defer q.finish(j)
 	name := j.spec.Name
 	switch j.kind {
@@ -715,30 +665,22 @@ func (q *QPM) result(j *job, g int, res ExecResult, started time.Time, exec time
 	}
 }
 
-// await blocks until job id of the given kind completes. When ctx ends
-// first the wait returns ctx's error while the job keeps running (use
-// Delete on an expired deadline to reclaim the slot).
-func (q *QPM) await(ctx context.Context, id string, kind *jobKind) (*job, error) {
-	j, err := q.lookup(id, kind)
-	if err != nil {
-		return nil, err
+// await blocks until job id of the given kind completes; an id of another
+// kind is as unknown to the caller as one that was never issued.
+func (q *QPM) await(id string, kind *jobKind) (*job, error) {
+	q.mu.Lock()
+	j, ok := q.jobs[id]
+	q.mu.Unlock()
+	if !ok || j.kind != kind {
+		return nil, fmt.Errorf("qpm[%s]: unknown %s %s", q.backend, kind.noun, id)
 	}
-	select {
-	case <-j.done:
-		return j, nil
-	case <-ctx.Done():
-		return nil, fmt.Errorf("qpm[%s]: wait %s: %w", q.backend, id, ctx.Err())
-	}
+	<-j.done
+	return j, nil
 }
 
 // Wait blocks until the task completes and returns its result.
 func (q *QPM) Wait(id string) (*Result, error) {
-	return q.WaitCtx(context.Background(), id)
-}
-
-// WaitCtx is Wait with caller-side cancellation.
-func (q *QPM) WaitCtx(ctx context.Context, id string) (*Result, error) {
-	j, err := q.await(ctx, id, kindSingle)
+	j, err := q.await(id, kindSingle)
 	if err != nil {
 		return nil, err
 	}
@@ -748,7 +690,7 @@ func (q *QPM) WaitCtx(ctx context.Context, id string) (*Result, error) {
 // WaitBatch blocks until every element of the batch completes and returns
 // the ordered results plus per-element error strings ("" for success).
 func (q *QPM) WaitBatch(id string) ([]*Result, []string, error) {
-	j, err := q.await(context.Background(), id, kindBatch)
+	j, err := q.await(id, kindBatch)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -758,53 +700,16 @@ func (q *QPM) WaitBatch(id string) ([]*Result, []string, error) {
 // WaitGradient blocks until the gradient batch completes and returns the
 // ordered per-binding results.
 func (q *QPM) WaitGradient(id string) ([]GradResult, error) {
-	j, err := q.await(context.Background(), id, kindGradient)
+	j, err := q.await(id, kindGradient)
 	if err != nil {
 		return nil, err
 	}
 	return j.grads, j.failure()
 }
 
-// Status returns the state of a job of any kind.
-func (q *QPM) Status(id string) (Status, error) {
-	q.mu.Lock()
-	j, ok := q.jobs[id]
-	q.mu.Unlock()
-	if !ok {
-		return "", fmt.Errorf("qpm[%s]: unknown task %s", q.backend, id)
-	}
-	return j.snapshotStatus(), nil
-}
-
-// deadlinePassed reports whether a work item's deadline exists and has
-// expired — the one case where deleting a "running" item is safe: the
-// guarded execution has already abandoned the backend call (or is about
-// to), so removing the bookkeeping cannot orphan a live result.
+// deadlinePassed reports whether a deadline exists and has expired.
 func deadlinePassed(deadline time.Time) bool {
 	return !deadline.IsZero() && !time.Now().Before(deadline)
-}
-
-// Delete removes a completed (or never-run) job of any kind. Deleting a
-// queued job cancels it: its work items still pass through the QRC queue
-// but are dropped at the worker instead of executing. Running jobs refuse
-// deletion — the execution cannot be recalled from the backend — unless
-// their deadline has already passed, in which case the executor has been
-// abandoned and the entry would otherwise sit orphaned in the job table.
-func (q *QPM) Delete(id string) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok {
-		return fmt.Errorf("qpm[%s]: unknown task %s", q.backend, id)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status == StatusRunning && !deadlinePassed(j.deadline) {
-		return fmt.Errorf("qpm[%s]: %s %s is running", q.backend, j.kind.noun, id)
-	}
-	j.cancelled = j.status == StatusQueued || j.status == StatusRunning
-	delete(q.jobs, id)
-	return nil
 }
 
 // List returns every job ID with its state.
@@ -813,92 +718,51 @@ func (q *QPM) List() map[string]Status {
 	defer q.mu.Unlock()
 	out := make(map[string]Status, len(q.jobs))
 	for id, j := range q.jobs {
-		out[id] = j.snapshotStatus()
+		j.mu.Lock()
+		out[id] = j.status
+		j.mu.Unlock()
 	}
 	return out
 }
 
-// lookup finds a job by id and kind; an id of another kind is as unknown
-// to the caller as one that was never issued.
-func (q *QPM) lookup(id string, kind *jobKind) (*job, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok || j.kind != kind {
-		return nil, fmt.Errorf("qpm[%s]: unknown %s %s", q.backend, kind.noun, id)
-	}
-	return j, nil
-}
-
 // ---- DEFw RPC surface -------------------------------------------------
 
-// submitReq is the payload of every method that carries work: one spec,
-// the options, and for the batch and gradient methods K bindings.
+// submitReq is the payload of every exec* method: one spec, the options,
+// and for the batch and gradient methods K bindings.
 type submitReq struct {
 	Spec     CircuitSpec `json:"spec"`
 	Bindings []Bindings  `json:"bindings,omitempty"`
 	Opts     RunOptions  `json:"opts"`
 }
 
-// batchWaitResp is the reply of "wait_batch": ordered results with parallel
+// batchReply is the reply of "exec_batch": ordered results with parallel
 // per-element error strings ("" for success, nil Result on failure).
-type batchWaitResp struct {
+type batchReply struct {
 	Results []*Result `json:"results"`
 	Errs    []string  `json:"errs,omitempty"`
 }
 
-// gradWaitResp is the reply of "wait_grad": one GradResult per binding.
-type gradWaitResp struct {
+// gradReply is the reply of "exec_grad": one GradResult per binding.
+type gradReply struct {
 	Results []GradResult `json:"results"`
 }
 
-type idMsg struct {
-	ID string `json:"id"`
-}
-
-type statusMsg struct {
-	ID     string `json:"id"`
-	Status Status `json:"status"`
-}
-
 // rpcMethods builds the RPC method table, one typed entry per method over
-// the defw JSON codec: the blocking one-round-trip exec* methods (which
-// reap their job server-side), the asynchronous lifecycle, and the table
-// and capability queries.
+// the defw JSON codec: the blocking one-round-trip exec* methods, which reap
+// their job before replying, and the table and capability queries. A client
+// that wants asynchrony keeps an exec* call in flight (see Frontend.RunAsync).
 func (q *QPM) rpcMethods() map[string]func(payload []byte) ([]byte, error) {
 	who := fmt.Sprintf("qpm[%s]", q.backend)
-	issued := func(id string, err error) (idMsg, error) { return idMsg{ID: id}, err }
-	batchResp := func(results []*Result, errs []string, err error) (batchWaitResp, error) {
-		return batchWaitResp{Results: results, Errs: errs}, err
-	}
-	gradResp := func(results []GradResult, err error) (gradWaitResp, error) {
-		return gradWaitResp{Results: results}, err
-	}
 	return map[string]func([]byte) ([]byte, error){
 		"exec": defw.HandleJSON(who, func(r submitReq) (*Result, error) { return q.Exec(r.Spec, r.Opts) }),
-		"exec_batch": defw.HandleJSON(who, func(r submitReq) (batchWaitResp, error) {
-			return batchResp(q.ExecBatch(r.Spec, r.Bindings, r.Opts))
+		"exec_batch": defw.HandleJSON(who, func(r submitReq) (batchReply, error) {
+			results, errs, err := q.ExecBatch(r.Spec, r.Bindings, r.Opts)
+			return batchReply{Results: results, Errs: errs}, err
 		}),
-		"exec_grad": defw.HandleJSON(who, func(r submitReq) (gradWaitResp, error) {
-			return gradResp(q.ExecGradient(r.Spec, r.Bindings, r.Opts))
+		"exec_grad": defw.HandleJSON(who, func(r submitReq) (gradReply, error) {
+			results, err := q.ExecGradient(r.Spec, r.Bindings, r.Opts)
+			return gradReply{Results: results}, err
 		}),
-		"create": defw.HandleJSON(who, func(r submitReq) (idMsg, error) { return issued(q.Create(r.Spec, r.Opts)) }),
-		"submit": defw.HandleJSON(who, func(r submitReq) (idMsg, error) { return issued(q.Submit(r.Spec, r.Opts)) }),
-		"submit_batch": defw.HandleJSON(who, func(r submitReq) (idMsg, error) {
-			return issued(q.SubmitBatch(r.Spec, r.Bindings, r.Opts))
-		}),
-		"submit_grad": defw.HandleJSON(who, func(r submitReq) (idMsg, error) {
-			return issued(q.SubmitGradient(r.Spec, r.Bindings, r.Opts))
-		}),
-		"run": defw.HandleJSON(who, func(r idMsg) (struct{}, error) { return struct{}{}, q.Run(r.ID) }),
-		"status": defw.HandleJSON(who, func(r idMsg) (statusMsg, error) {
-			st, err := q.Status(r.ID)
-			return statusMsg{ID: r.ID, Status: st}, err
-		}),
-		"wait":         defw.HandleJSON(who, func(r idMsg) (*Result, error) { return q.Wait(r.ID) }),
-		"wait_batch":   defw.HandleJSON(who, func(r idMsg) (batchWaitResp, error) { return batchResp(q.WaitBatch(r.ID)) }),
-		"wait_grad":    defw.HandleJSON(who, func(r idMsg) (gradWaitResp, error) { return gradResp(q.WaitGradient(r.ID)) }),
-		"delete":       defw.HandleJSON(who, func(r idMsg) (struct{}, error) { return struct{}{}, q.Delete(r.ID) }),
 		"list":         defw.HandleJSON(who, func(struct{}) (map[string]Status, error) { return q.List(), nil }),
 		"capabilities": defw.HandleJSON(who, func(struct{}) (Capabilities, error) { return q.Capabilities(), nil }),
 	}

@@ -150,7 +150,7 @@ func TestPublicAPICircuitBuilding(t *testing.T) {
 
 func TestPublicAPIBatch(t *testing.T) {
 	// The batch path through the full stack: one parametric circuit, K
-	// bindings, ordered results from a single submit_batch RPC.
+	// bindings, ordered results from a single exec_batch RPC.
 	s := launchTest(t)
 	backend, err := s.Frontend(Properties{Backend: "aer", Subbackend: "statevector"})
 	if err != nil {
@@ -175,11 +175,11 @@ func TestPublicAPIBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pending.N != 2 || pending.BatchID == "" {
+	if pending.N != 2 {
 		t.Fatalf("pending %+v", pending)
 	}
-	if _, err := pending.Results(); err != nil {
-		t.Fatal(err)
+	if results, err := pending.Results(); err != nil || len(results) != pending.N {
+		t.Fatalf("async batch results %v, %v", results, err)
 	}
 }
 
