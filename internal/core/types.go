@@ -4,13 +4,13 @@
 //   - the standardized circuit/task descriptions exchanged between frontends
 //     and backends (CircuitSpec, RunOptions, Result),
 //   - the Quantum Platform Manager (QPM): the central dispatcher owning task
-//     queues and circuit lifecycle (create / run / status / result / delete),
+//     queues and circuit lifecycle (submit / wait / reap),
 //   - the Quantum Resource Controller (QRC): the worker threads that launch
 //     backend executions across the allocation,
 //   - the QFwBackend frontend used by applications, speaking to QPMs over
 //     the DEFw RPC layer with synchronous and asynchronous calls,
 //   - the batched parametric pipeline (CircuitSpec.Params + Bindings,
-//     Frontend.RunBatch, QPM submit_batch/wait_batch, BatchExecutor): one
+//     Frontend.RunBatch, QPM exec_batch, BatchExecutor): one
 //     symbolic ansatz ships per optimizer iteration instead of N bound
 //     copies, fanned across the QRC workers and parsed once per ansatz via
 //     ParseCache,

@@ -29,7 +29,7 @@ type Runner interface {
 
 // BatchRunner extends Runner with batched parametric execution: one
 // (symbolic) circuit plus K bindings evaluated through a single submission.
-// *core.Frontend satisfies it via RunBatch (one submit_batch RPC), and
+// *core.Frontend satisfies it via RunBatch (one exec_batch RPC), and
 // LocalRunner satisfies it with concurrent in-process evaluation. Solve
 // prefers this path: each optimizer iteration ships its whole candidate
 // set at once instead of one fully bound circuit per evaluation.

@@ -25,9 +25,9 @@
 // The synchronous calls — Run, RunBatch, RunGradient — cost one RPC each:
 // the QPM executes, replies with the result and reaps the task itself, so
 // nothing accumulates in the daemon however many circuits an application
-// runs. The asynchronous handles (RunAsync, RunBatchAsync) split that into
-// submit and wait so work can overlap; such a handle owns its task until
-// the application calls Frontend.Delete with its id.
+// runs. The asynchronous handles (RunAsync, RunBatchAsync) issue the same
+// call and return before its reply, so work can overlap; the daemon holds
+// nothing on a handle's behalf.
 //
 // # Batched parametric execution
 //
