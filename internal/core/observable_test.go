@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"qfw/internal/statevec"
 )
 
 // referenceEnergyOfIndex is EnergyOfIndex as it stood at 743724b, verbatim:
@@ -265,7 +267,7 @@ func TestFromCountsIsBitwiseRepeatable(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for len(counts) < 644 {
-		counts[formatKey(rng.Intn(1<<n), n)] = 1 + rng.Intn(50)
+		counts[statevec.FormatBits(rng.Intn(1<<n), n)] = 1 + rng.Intn(50)
 	}
 	first := math.Float64bits(obs.FromCounts(counts))
 	for i := 0; i < 50; i++ {
@@ -273,12 +275,4 @@ func TestFromCountsIsBitwiseRepeatable(t *testing.T) {
 			t.Fatalf("call %d: FromCounts bits %x, first call %x", i, got, first)
 		}
 	}
-}
-
-func formatKey(idx, n int) string {
-	key := make([]byte, n)
-	for q := 0; q < n; q++ {
-		key[n-1-q] = '0' + byte(idx>>q&1)
-	}
-	return string(key)
 }
