@@ -20,16 +20,12 @@ import (
 // for the distributed path, bond caps from the entanglement bound) and scored
 // on its fitted cost curve, and the argmin wins. Clifford circuits
 // short-circuit to the stabilizer engine — polynomial simulation beats every
-// dense engine at any size worth routing. When no calibration is available
-// (QFW_COST=off) the pre-model structural rules apply:
+// dense engine at any size worth routing. When the model sizes no candidate
+// (no MPS engine registered and a circuit too large for every dense engine)
+// the first registered engine in sorted order is the primary, under rule
+// "fallback".
 //
-//   - Clifford-only circuits      → aer/stabilizer,
-//   - nearest-neighbour circuits  → aer/matrix_product_state,
-//   - shallow circuits            → qtensor/numpy,
-//   - small dense circuits        → aer/statevector,
-//   - everything else             → nwqsim/mpi.
-//
-// Both paths consult only the backends actually registered, so the selector
+// Routing consults only the backends actually registered, so the selector
 // works on sessions launched with a backend subset. A batch is routed once,
 // from its shared spec, and runs whole on the chosen engine.
 type AutoExecutor struct {
@@ -47,8 +43,8 @@ func NewAutoExecutor(execs map[string]Executor) *AutoExecutor {
 	return &AutoExecutor{execs: execs, cache: NewParseCache(), model: cost.Current()}
 }
 
-// WithModel overrides the cost model (nil forces the structural rules) and
-// returns the executor — a hook for tests and tooling.
+// WithModel overrides the cost model (non-nil) and returns the executor — a
+// hook for tests and tooling that pass their own calibration.
 func (a *AutoExecutor) WithModel(m *cost.Model) *AutoExecutor {
 	a.model = m
 	return a
@@ -83,10 +79,6 @@ func (a *AutoExecutor) Capabilities() Capabilities {
 	}
 	sort.Strings(targets)
 	_, _, grads := a.gradientTarget(nil)
-	mode := "structural rules"
-	if a.model != nil {
-		mode = "calibrated cost model"
-	}
 	return Capabilities{
 		Backend:     "auto",
 		Subbackends: []string{"workload-driven"},
@@ -98,8 +90,8 @@ func (a *AutoExecutor) Capabilities() Capabilities {
 		// function of (spec, opts) within one process, so a seeded auto
 		// execution replays exactly like its routed local engine.
 		DeterministicSeeded: true,
-		Notes: fmt.Sprintf("Workload-driven backend selection (paper future work): routes by %s across %v.",
-			mode, targets),
+		Notes: fmt.Sprintf("Workload-driven backend selection (paper future work): routes by calibrated cost model across %v.",
+			targets),
 	}
 }
 
@@ -108,7 +100,7 @@ func (a *AutoExecutor) Capabilities() Capabilities {
 type Decision struct {
 	Backend     string
 	Sub         string
-	Rule        string // "clifford", "cost-model", "fallback", or a structural rule name
+	Rule        string // "clifford", "cost-model" or "fallback"
 	Res         cost.Resources
 	PredictedMS float64
 }
@@ -129,12 +121,16 @@ var candidateSubs = map[string][]string{
 // ranked returns the routing decisions for a submission in preference
 // order. The primary comes from the cost model — Clifford circuits
 // short-circuit to the tableau engine, everything else takes the argmin of
-// the sized candidates — or, without a model (or when the model offers no
-// candidate for this session's backends), from the structural rules. With
-// fallbacks the list continues with the remaining model candidates in rank
-// order, then every remaining registered local engine in sorted order, so a
-// session without calibration still has somewhere to degrade to.
+// the sized candidates. The list continues with the remaining model
+// candidates in rank order, then every remaining registered local engine in
+// sorted order, so a circuit the model sizes no engine for still has a
+// primary and somewhere to degrade to. Without fallbacks only the primary
+// comes back.
 func (a *AutoExecutor) ranked(spec CircuitSpec, fallbacks bool) ([]Decision, error) {
+	f, err := a.cache.GetFeatures(spec)
+	if err != nil {
+		return nil, err
+	}
 	var out []Decision
 	add := func(engine, rule string, res cost.Resources, ms float64) {
 		backend, sub, _ := strings.Cut(engine, "/")
@@ -148,20 +144,13 @@ func (a *AutoExecutor) ranked(spec CircuitSpec, fallbacks bool) ([]Decision, err
 		}
 		out = append(out, Decision{Backend: backend, Sub: sub, Rule: rule, Res: res, PredictedMS: ms})
 	}
-	var f *cost.Features
-	if a.model != nil {
-		var err error
-		if f, err = a.cache.GetFeatures(spec); err != nil {
-			return nil, err
-		}
-		// Clifford circuits short-circuit: the tableau engine is polynomial
-		// where everything else is exponential, and exact.
-		if _, ok := a.execs["aer"]; ok && f.Clifford {
-			ms, _ := a.model.PredictMS(cost.AerStab, f, cost.Resources{})
-			add(cost.AerStab, "clifford", cost.Resources{}, ms)
-			if !fallbacks {
-				return out, nil
-			}
+	// Clifford circuits short-circuit: the tableau engine is polynomial
+	// where everything else is exponential, and exact.
+	if _, ok := a.execs["aer"]; ok && f.Clifford {
+		ms, _ := a.model.PredictMS(cost.AerStab, f, cost.Resources{})
+		add(cost.AerStab, "clifford", cost.Resources{}, ms)
+		if !fallbacks {
+			return out, nil
 		}
 	}
 	var names, engines []string
@@ -174,67 +163,20 @@ func (a *AutoExecutor) ranked(spec CircuitSpec, fallbacks bool) ([]Decision, err
 			engines = append(engines, name+"/"+sub)
 		}
 	}
-	if f != nil {
-		env := cost.Env{Workers: statevec.CurrentTuning().Workers, Cores: runtime.GOMAXPROCS(0), MemBytes: a.memBytes}
-		for _, c := range a.model.Rank(f, engines, env) {
-			add(c.Engine, "cost-model", c.Res, c.MS())
-		}
-	}
-	if len(out) == 0 {
-		d, err := a.selectStructural(spec)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-	if !fallbacks {
-		return out[:1], nil
+	env := cost.Env{Workers: statevec.CurrentTuning().Workers, Cores: runtime.GOMAXPROCS(0), MemBytes: a.memBytes}
+	for _, c := range a.model.Rank(f, engines, env) {
+		add(c.Engine, "cost-model", c.Res, c.MS())
 	}
 	for _, e := range engines {
 		add(e, "fallback", cost.Resources{}, 0)
 	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("auto: no local backend available to route to")
+	}
+	if !fallbacks {
+		out = out[:1]
+	}
 	return out, nil
-}
-
-// selectStructural applies the pre-calibration structural rules against the
-// available executors.
-func (a *AutoExecutor) selectStructural(spec CircuitSpec) (Decision, error) {
-	c, err := a.cache.Get(spec)
-	if err != nil {
-		return Decision{}, err
-	}
-	has := func(name string) bool {
-		_, ok := a.execs[name]
-		return ok
-	}
-	n := c.NQubits
-	depth := c.Depth()
-	switch {
-	case c.IsClifford() && has("aer"):
-		return Decision{Backend: "aer", Sub: "stabilizer", Rule: "clifford"}, nil
-	case c.InteractionDistance() <= 1 && n >= 12 && has("aer"):
-		return Decision{Backend: "aer", Sub: "matrix_product_state", Rule: "nearest-neighbour"}, nil
-	case c.InteractionDistance() <= 1 && n >= 12 && has("tnqvm"):
-		return Decision{Backend: "tnqvm", Sub: "exatn-mps", Rule: "nearest-neighbour"}, nil
-	case depth <= 8 && n <= 16 && has("qtensor"):
-		return Decision{Backend: "qtensor", Sub: "numpy", Rule: "shallow"}, nil
-	case n <= 18 && has("aer"):
-		return Decision{Backend: "aer", Sub: "statevector", Rule: "small-dense"}, nil
-	case has("nwqsim"):
-		return Decision{Backend: "nwqsim", Sub: "mpi", Rule: "large-dense"}, nil
-	}
-	// Fall back to any local executor, preferring deterministic order.
-	var names []string
-	for name := range a.execs {
-		if name != "ionq" {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return Decision{}, fmt.Errorf("auto: no local backend available to route to")
-	}
-	return Decision{Backend: names[0], Rule: "fallback"}, nil
 }
 
 // applyResources writes the sized resources into the options, never
@@ -383,17 +325,18 @@ func svKeyOf(backend string) (string, bool) {
 type gradCand struct {
 	name string
 	ge   GradientExecutor
+	ms   float64 // predicted adjoint cost; +Inf when the model cannot price it
 }
 
 // gradientTargets is the single discovery point for gradient delegation:
 // Capabilities and ExecuteGradient both consult it, so the advertised
-// capability can never disagree with the dispatch. With features and a
-// calibration the gradient-capable engines are ranked by predicted adjoint
-// cost (one forward plus two adjoint sweeps ≈ 3 circuit-equivalents of
-// dense statevector work); otherwise the known adjoint engines are
-// preferred in a fixed order, then any other GradientExecutor in
-// sorted-name order for determinism. The whole ordered list comes back so
-// a failed delegation can fall through to the next engine.
+// capability can never disagree with the dispatch. The gradient-capable
+// engines are ranked by predicted adjoint cost (one forward plus two adjoint
+// sweeps ≈ 3 circuit-equivalents of dense statevector work); engines the
+// model cannot price (and every engine when f is nil) keep the fixed order —
+// the known adjoint engines first, then any other GradientExecutor in
+// sorted-name order. The whole ordered list comes back so a failed
+// delegation can fall through to the next engine.
 func (a *AutoExecutor) gradientTargets(f *cost.Features) []gradCand {
 	var rest []string
 	for name := range a.execs {
@@ -402,44 +345,21 @@ func (a *AutoExecutor) gradientTargets(f *cost.Features) []gradCand {
 		}
 	}
 	sort.Strings(rest)
-	names := append(append([]string{}, gradPreference...), rest...)
-	if a.model != nil && f != nil {
-		type scored struct {
-			name string
-			ms   float64
-			idx  int
-		}
-		var sc []scored
-		for i, name := range names {
-			if _, ok := a.execs[name].(GradientExecutor); !ok {
-				continue
-			}
-			ms := math.Inf(1)
-			if key, ok := svKeyOf(name); ok {
-				if p, ok := a.model.PredictMS(key, f, cost.Resources{Workers: statevec.CurrentTuning().Workers}); ok {
-					ms = 3 * p
-				}
-			}
-			sc = append(sc, scored{name, ms, i})
-		}
-		sort.Slice(sc, func(i, j int) bool {
-			if sc[i].ms != sc[j].ms {
-				return sc[i].ms < sc[j].ms
-			}
-			return sc[i].idx < sc[j].idx
-		})
-		out := make([]gradCand, 0, len(sc))
-		for _, s := range sc {
-			out = append(out, gradCand{s.name, a.execs[s.name].(GradientExecutor)})
-		}
-		return out
-	}
 	var out []gradCand
-	for _, name := range names {
-		if ge, ok := a.execs[name].(GradientExecutor); ok {
-			out = append(out, gradCand{name, ge})
+	for _, name := range append(append([]string{}, gradPreference...), rest...) {
+		ge, ok := a.execs[name].(GradientExecutor)
+		if !ok {
+			continue
 		}
+		c := gradCand{name, ge, math.Inf(1)}
+		if key, ok := svKeyOf(name); ok && f != nil {
+			if p, ok := a.model.PredictMS(key, f, cost.Resources{Workers: statevec.CurrentTuning().Workers}); ok {
+				c.ms = 3 * p
+			}
+		}
+		out = append(out, c)
 	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].ms < out[j].ms })
 	return out
 }
 
@@ -452,16 +372,12 @@ func (a *AutoExecutor) gradientTarget(f *cost.Features) (string, GradientExecuto
 
 // ExecuteGradient implements GradientExecutor by delegating to the
 // gradient-capable local backend with the lowest predicted adjoint cost
-// (fixed preference order without calibration). Gradient evaluation needs
-// dense simulator state, so the routing candidates are the adjoint engines
-// only and the sub-backend is left to the target's default.
+// (the fixed preference order when the features cannot be extracted).
+// Gradient evaluation needs dense simulator state, so the routing candidates
+// are the adjoint engines only and the sub-backend is left to the target's
+// default.
 func (a *AutoExecutor) ExecuteGradient(spec CircuitSpec, bindings []Bindings, opts RunOptions) ([]GradResult, error) {
-	var f *cost.Features
-	if a.model != nil {
-		if ff, err := a.cache.GetFeatures(spec); err == nil {
-			f = ff
-		}
-	}
+	f, _ := a.cache.GetFeatures(spec) // nil on error: the fixed order applies
 	cands := a.gradientTargets(f)
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("auto: no gradient-capable backend available")

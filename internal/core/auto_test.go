@@ -100,19 +100,6 @@ func TestAutoRoutesLargeDenseToStatevector(t *testing.T) {
 	}
 }
 
-func TestAutoRoutesLargeDenseToNWQSimStructurally(t *testing.T) {
-	// Without a calibration the structural rules send large dense circuits
-	// to the distributed engine.
-	a := NewAutoExecutor(allFakeExecs()).WithModel(nil)
-	backend, sub, rule, err := a.RouteFor(routeSpec(t, largeDenseCircuit()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if backend != "nwqsim" || sub != "mpi" || rule != "large-dense" {
-		t.Fatalf("routed to %s/%s (%s)", backend, sub, rule)
-	}
-}
-
 func TestAutoNeverRoutesToCloud(t *testing.T) {
 	execs := map[string]Executor{"ionq": &fakeExec{name: "ionq"}}
 	a := NewAutoExecutor(execs)
@@ -349,13 +336,5 @@ func TestAutoGradientRoutesByPredictedCost(t *testing.T) {
 	}
 	if nwq.grads != 1 || aer.grads != 0 {
 		t.Fatalf("gradient calls aer=%d nwqsim=%d", aer.grads, nwq.grads)
-	}
-	// Without a model the fixed preference order applies: aer first.
-	a2 := NewAutoExecutor(map[string]Executor{"aer": aer, "nwqsim": nwq}).WithModel(nil)
-	if _, err := a2.ExecuteGradient(denseSpec(t), make([]Bindings, 2), RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if aer.grads != 1 {
-		t.Fatalf("structural gradient calls aer=%d nwqsim=%d", aer.grads, nwq.grads)
 	}
 }

@@ -222,13 +222,12 @@ func TestGradientRetryRecovers(t *testing.T) {
 }
 
 // TestAutoFallbackReroute: when the chosen engine fails at execution time
-// the submission re-routes to the next candidate, annotated in Route.
-// WithModel(nil) forces the structural rules so the primary choice is
-// deterministic regardless of the CI cost-model mode.
+// the submission re-routes to the next candidate, annotated in Route. Bell
+// is Clifford, so the failing aer (its stabilizer engine) is the primary.
 func TestAutoFallbackReroute(t *testing.T) {
 	bad := &fakeExec{name: "aer", fail: true}
 	good := &fakeExec{name: "nwqsim"}
-	a := NewAutoExecutor(map[string]Executor{"aer": bad, "nwqsim": good}).WithModel(nil)
+	a := NewAutoExecutor(map[string]Executor{"aer": bad, "nwqsim": good})
 	res, err := a.Execute(bell(t), RunOptions{Shots: 4})
 	if err != nil {
 		t.Fatalf("fallback did not rescue the submission: %v", err)

@@ -3,12 +3,11 @@ package cost
 // The process-wide cost model is the embedded seed calibration (seed.go)
 // unless QFW_COST overrides it:
 //
-//	"off"            — disable the cost model (structural routing rules),
 //	"deterministic"  — the embedded seed, spelled out,
 //	<path>           — load a fitted calibration file (qfwbench -exp fit-cost).
 //
-// A path that cannot be loaded is reported once on stderr and the seed
-// applies.
+// Any other value is a path; one that cannot be loaded is reported once on
+// stderr and the seed applies.
 
 import (
 	"encoding/json"
@@ -26,8 +25,8 @@ var (
 	curVal  *Model
 )
 
-// Current resolves (once per process) the process-wide cost model. It is
-// nil only when QFW_COST=off — callers fall back to structural routing.
+// Current resolves (once per process) the process-wide cost model; it is
+// never nil.
 func Current() *Model {
 	curOnce.Do(func() { curVal = NewModel(resolve(os.Stderr)) })
 	return curVal
@@ -40,12 +39,10 @@ func resolve(warn io.Writer) *Calibration {
 	switch strings.ToLower(env) {
 	case "", "deterministic":
 		return Seed()
-	case "off":
-		return nil
 	}
 	cal, err := Load(env)
 	if err != nil {
-		fmt.Fprintf(warn, "qfw: QFW_COST=%q is not off, deterministic or a loadable calibration (%v); using the embedded seed\n", env, err)
+		fmt.Fprintf(warn, "qfw: QFW_COST=%q is not deterministic or a loadable calibration (%v); using the embedded seed\n", env, err)
 		return Seed()
 	}
 	cal.Source = "env"

@@ -2,7 +2,6 @@ package cost
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -143,10 +142,6 @@ func TestCurrentIsDeterministicUnderGoTest(t *testing.T) {
 		if cal := resolve(&warn); cal != Seed() || warn.Len() != 0 {
 			t.Fatalf("QFW_COST=%q resolved to %+v (warning %q), want the seed silently", env, cal, warn.String())
 		}
-	}
-	t.Setenv("QFW_COST", "off")
-	if cal := resolve(io.Discard); cal != nil {
-		t.Fatalf("QFW_COST=off resolved to %+v, want no model", cal)
 	}
 	missing := filepath.Join(t.TempDir(), "missing.json")
 	t.Setenv("QFW_COST", missing)

@@ -10,7 +10,7 @@ import (
 // repository's BENCH_kernel.json / BENCH_mps.json artifacts by
 // `qfwbench -exp fit-cost` (engines those artifacts do not cover carry
 // hand-set curves marked pts=0). It is the calibration every process runs
-// unless QFW_COST overrides it.
+// unless QFW_COST names a calibration file (calibrate.go).
 //
 //go:embed seed_cost.json
 var seedJSON []byte

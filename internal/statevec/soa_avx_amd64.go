@@ -2,15 +2,12 @@
 
 package statevec
 
-import "os"
-
 // AVX2+FMA tile kernels. The gc compiler emits scalar FP code for the SoA
 // loops in soa.go, which leaves the staged executor ALU-bound: a deep
 // QAOA/TFIM sweep spends most of its time in 6-flop/amplitude butterflies.
 // These hand-written kernels process four amplitudes per instruction and are
 // selected at runtime when the CPU reports AVX2+FMA (and the OS enables YMM
-// state); everything falls back to the portable Go loops otherwise, or when
-// QFW_SIMD=off.
+// state); everything falls back to the portable Go loops otherwise.
 //
 // Layout contract: callers pass tile sub-slices whose lengths are powers of
 // two, so a length >= 4 is always a multiple of 4 and the kernels need no
@@ -19,7 +16,7 @@ import "os"
 // through the pair-shuffle kernels that permute partners inside a YMM
 // register instead.
 
-var useAVX = os.Getenv("QFW_SIMD") != "off" && detectAVX2()
+var useAVX = detectAVX2()
 
 // detectAVX2 reports AVX2+FMA with OS-enabled YMM state: CPUID leaf 1 ECX
 // must show OSXSAVE+AVX+FMA, XCR0 must enable XMM+YMM saving, and leaf 7

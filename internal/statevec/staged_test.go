@@ -1,10 +1,7 @@
 package statevec
 
 import (
-	"bytes"
 	"math/rand"
-	"os"
-	"strings"
 	"testing"
 
 	"qfw/internal/circuit"
@@ -160,49 +157,4 @@ func TestCompileSeqMatchesPlan(t *testing.T) {
 	}
 	ref.Release()
 	got.Release()
-}
-
-// TestTuningEnvOverride checks QFW_TUNE resolution without touching the
-// process-wide tuning singleton: no variable means the fixed defaults,
-// "deterministic" spells the same value, a malformed value falls back to the
-// defaults with exactly one line on the warning stream, and nothing is ever
-// read from or written to the user cache directory.
-func TestTuningEnvOverride(t *testing.T) {
-	if tun, ok := parseTuneEnv("tile=11,workers=3,min=16"); !ok ||
-		tun.TileBits != 11 || tun.Workers != 3 || tun.MinQubits != 16 {
-		t.Fatalf("explicit override misparsed: %+v ok=%v", tun, ok)
-	}
-	if tun, ok := parseTuneEnv("off"); !ok || tun.MinQubits != tuneDisabled {
-		t.Fatalf("off override misparsed: %+v ok=%v", tun, ok)
-	}
-	if _, ok := parseTuneEnv("garbage"); ok {
-		t.Fatal("malformed override accepted")
-	}
-
-	cache := t.TempDir()
-	t.Setenv("XDG_CACHE_HOME", cache)
-	def := deterministicTuning()
-	if def.TileBits != defaultTileBits || def.MinQubits != defaultMinQubits {
-		t.Fatalf("defaults drifted: %+v", def)
-	}
-	for _, env := range []string{"", "deterministic", " Deterministic "} {
-		t.Setenv("QFW_TUNE", env)
-		var warn bytes.Buffer
-		if tun := resolveTuning(&warn); tun != def || warn.Len() != 0 {
-			t.Fatalf("QFW_TUNE=%q resolved to %+v (warning %q), want the defaults %+v silently", env, tun, warn.String(), def)
-		}
-	}
-	t.Setenv("QFW_TUNE", "determinstic")
-	var warn bytes.Buffer
-	if tun := resolveTuning(&warn); tun != def {
-		t.Fatalf("malformed QFW_TUNE resolved to %+v, want the defaults", tun)
-	}
-	msg := warn.String()
-	if strings.Count(msg, "\n") != 1 || !strings.HasSuffix(msg, "\n") ||
-		!strings.Contains(msg, "QFW_TUNE") || !strings.Contains(msg, `"determinstic"`) || !strings.Contains(msg, "tile=14") {
-		t.Fatalf("malformed QFW_TUNE warning should be one line naming the variable, the value and the defaults, got %q", msg)
-	}
-	if left, err := os.ReadDir(cache); err != nil || len(left) != 0 {
-		t.Fatalf("tuning resolution touched the user cache dir: %v (err %v)", left, err)
-	}
 }

@@ -3,22 +3,10 @@ package statevec
 // Tile size and worker count of the cache-blocked staged engine. They are
 // constants of the build — tile 14, one worker per GOMAXPROCS, staged from 18
 // qubits — so every process runs the configuration the tests and the
-// benchmark run. QFW_TUNE overrides them for experiments:
-//
-//	"off"                    — disable the staged path entirely,
-//	"deterministic"          — the defaults, spelled out,
-//	"tile=T,workers=W,min=M" — explicit values (any subset).
-//
-// A value that is none of these is reported once on stderr and the defaults
-// apply.
+// benchmark run.
 
 import (
-	"fmt"
-	"io"
-	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -38,23 +26,13 @@ type Tuning struct {
 	MinQubits int
 }
 
-const (
-	defaultTileBits  = 14
-	defaultMinQubits = 18
-	tuneDisabled     = 1 << 30
-)
+// CurrentTuning returns the staged-engine tuning: the build's constants,
+// with the worker count read from GOMAXPROCS once per process.
+func CurrentTuning() Tuning { return tuning() }
 
-var (
-	tuneOnce sync.Once
-	tuneVal  Tuning
-)
-
-// CurrentTuning resolves (once per process) and returns the staged-engine
-// tuning.
-func CurrentTuning() Tuning {
-	tuneOnce.Do(func() { tuneVal = resolveTuning(os.Stderr) })
-	return tuneVal
-}
+var tuning = sync.OnceValue(func() Tuning {
+	return Tuning{TileBits: 14, Workers: runtime.GOMAXPROCS(0), MinQubits: 18}
+})
 
 // TileBitsFor returns the tile size for an n-qubit state. The base TileBits
 // suits moderate state sizes; for larger states the tile grows so the tile
@@ -84,71 +62,4 @@ func (t Tuning) TileBitsFor(n int) int {
 		tb = n
 	}
 	return tb
-}
-
-func deterministicTuning() Tuning {
-	return Tuning{
-		TileBits:  defaultTileBits,
-		Workers:   runtime.GOMAXPROCS(0),
-		MinQubits: defaultMinQubits,
-	}
-}
-
-// resolveTuning applies QFW_TUNE over the defaults; warn receives the one
-// line reporting a malformed value.
-func resolveTuning(warn io.Writer) Tuning {
-	def := deterministicTuning()
-	env := strings.TrimSpace(os.Getenv("QFW_TUNE"))
-	if env == "" {
-		return def
-	}
-	t, ok := parseTuneEnv(env)
-	if !ok {
-		fmt.Fprintf(warn, "qfw: QFW_TUNE=%q is not off, deterministic or tile=T,workers=W,min=M; using the defaults (tile=%d,workers=%d,min=%d)\n",
-			env, def.TileBits, def.Workers, def.MinQubits)
-		return def
-	}
-	return t
-}
-
-// parseTuneEnv interprets the QFW_TUNE override; ok is false when no part of
-// the value is a valid setting.
-func parseTuneEnv(env string) (Tuning, bool) {
-	t := deterministicTuning()
-	switch strings.ToLower(env) {
-	case "off":
-		t.MinQubits = tuneDisabled
-		return t, true
-	case "deterministic":
-		return t, true
-	}
-	any := false
-	for _, part := range strings.Split(env, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			continue
-		}
-		iv, err := strconv.Atoi(strings.TrimSpace(v))
-		if err != nil {
-			continue
-		}
-		switch strings.ToLower(strings.TrimSpace(k)) {
-		case "tile":
-			if iv >= 4 && iv <= 24 {
-				t.TileBits = iv
-				any = true
-			}
-		case "workers":
-			if iv >= 1 {
-				t.Workers = iv
-				any = true
-			}
-		case "min":
-			if iv >= 1 {
-				t.MinQubits = iv
-				any = true
-			}
-		}
-	}
-	return t, any
 }

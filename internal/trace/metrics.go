@@ -149,7 +149,7 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n (negative deltas are ignored: counters are monotonic).
 func (c *Counter) Add(n int64) {
-	if !Enabled() || n <= 0 {
+	if n <= 0 {
 		return
 	}
 	c.v.Add(n)
@@ -197,9 +197,6 @@ func newGauge(capacity int) *Gauge {
 
 // Record observes one value at the current time.
 func (g *Gauge) Record(v float64) {
-	if !Enabled() {
-		return
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.count++
@@ -350,9 +347,6 @@ func newHistogram() *Histogram {
 
 // Observe records one latency in milliseconds (negative values clamp to 0).
 func (h *Histogram) Observe(ms float64) {
-	if !Enabled() {
-		return
-	}
 	if ms < 0 {
 		ms = 0
 	}

@@ -4,40 +4,15 @@
 // as Chrome trace-event JSON) plus a typed metrics registry — counters,
 // gauge time series, and latency histograms — exported over the telemetry
 // RPC and the qfwd Prometheus endpoint.
-//
-// The whole surface can be switched off (QFW_OBS=off or SetEnabled(false)),
-// turning every Record/Observe into a cheap no-op for overhead ablations.
 package trace
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// EnvVar is the environment switch for the observability surface:
-// QFW_OBS=off (or 0/false) disables span recording and metric updates.
-const EnvVar = "QFW_OBS"
-
-var disabled atomic.Bool
-
-func init() {
-	switch strings.ToLower(os.Getenv(EnvVar)) {
-	case "off", "0", "false", "disabled":
-		disabled.Store(true)
-	}
-}
-
-// Enabled reports whether the observability surface records anything.
-func Enabled() bool { return !disabled.Load() }
-
-// SetEnabled toggles the whole observability surface at runtime (the
-// programmatic form of QFW_OBS). Reads keep working either way.
-func SetEnabled(on bool) { disabled.Store(!on) }
 
 // Event is one recorded span.
 type Event struct {
@@ -98,9 +73,6 @@ func (r *Recorder) Metrics() *Metrics { return r.met }
 // Record appends a completed span, overwriting the oldest one when the
 // ring is full.
 func (r *Recorder) Record(name, worker string, start, end time.Time, attrs map[string]string) {
-	if !Enabled() {
-		return
-	}
 	e := Event{Name: name, Worker: worker, Start: start, End: end, Attrs: attrs}
 	r.mu.Lock()
 	r.recorded++

@@ -86,38 +86,6 @@ func TestRingBoundAndDrops(t *testing.T) {
 	}
 }
 
-func TestDisabledSurfaceIsNoOp(t *testing.T) {
-	SetEnabled(false)
-	t.Cleanup(func() { SetEnabled(true) })
-	r := NewRecorder()
-	t0 := r.Epoch()
-	r.Record("op", "w", t0, t0.Add(time.Millisecond), nil)
-	r.Span("span", "w")()
-	m := r.Metrics()
-	m.Counter("c_total").Inc()
-	m.Gauge("g").Record(3)
-	m.Histogram("h_ms").Observe(5)
-	if r.Len() != 0 || r.Stats().Recorded != 0 {
-		t.Fatalf("disabled recorder accepted spans: %+v", r.Stats())
-	}
-	if m.Counter("c_total").Value() != 0 {
-		t.Fatal("disabled counter advanced")
-	}
-	if g := m.Gauge("g"); g.Count() != 0 || g.SampleCount() != 0 {
-		t.Fatal("disabled gauge recorded")
-	}
-	if m.Histogram("h_ms").Count() != 0 {
-		t.Fatal("disabled histogram observed")
-	}
-
-	SetEnabled(true)
-	r.Record("op", "w", t0, t0.Add(time.Millisecond), nil)
-	m.Counter("c_total").Inc()
-	if r.Len() != 1 || m.Counter("c_total").Value() != 1 {
-		t.Fatal("re-enabled surface still inert")
-	}
-}
-
 // TestRecorderSoakMemoryFlat drives 100k spans through a small ring and
 // checks both the accounting (everything counted, only cap retained) and
 // that heap growth stays bounded by the ring, not the traffic.
