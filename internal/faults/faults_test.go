@@ -177,11 +177,39 @@ func TestParseSchedule(t *testing.T) {
 	if round, err := ParseSchedule(s.String()); err != nil || round != s {
 		t.Fatalf("round trip %+v vs %+v (%v)", round, s, err)
 	}
-	for _, bad := range []string{"rate=2", "mode=explode", "rate", "times=1", "frob=1"} {
+	for _, bad := range []string{"rate=2", "mode=explode", "rate", "times=1", "frob=1", "nth=-1", "rate=NaN"} {
 		if _, err := ParseSchedule(bad); err == nil {
 			t.Fatalf("accepted %q", bad)
 		}
 	}
+}
+
+// FuzzParseSchedule feeds arbitrary text to the schedule grammar: whatever
+// it accepts must select something (a positive Nth or a rate in (0, 1]), and
+// its String form must parse back to the same String form.
+func FuzzParseSchedule(f *testing.F) {
+	for _, seed := range []string{
+		"rate=0.2,times=1,mode=error,seed=7", "nth=3,mode=panic", "rate=1,times=-1,mode=hang",
+		"nth=-1", "rate=NaN", "rate=-0,nth=2", "rate=5e-324", "times=0,seed=0,rate=1e-3",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseSchedule(spec)
+		if err != nil {
+			return
+		}
+		if !(s.Nth > 0 || s.Rate > 0 && s.Rate <= 1) {
+			t.Fatalf("%q parsed to %+v, which selects nothing", spec, s)
+		}
+		round, err := ParseSchedule(s.String())
+		if err != nil {
+			t.Fatalf("%q parsed to %+v, whose String %q does not parse: %v", spec, s, s.String(), err)
+		}
+		if round.String() != s.String() {
+			t.Fatalf("%q: String %q parsed back to %q", spec, s.String(), round.String())
+		}
+	})
 }
 
 func TestFromEnv(t *testing.T) {

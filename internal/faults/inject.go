@@ -80,7 +80,7 @@ func ParseSchedule(spec string) (Schedule, error) {
 		switch key {
 		case "rate":
 			s.Rate, err = strconv.ParseFloat(val, 64)
-			if err == nil && (s.Rate < 0 || s.Rate > 1) {
+			if err == nil && !(s.Rate >= 0 && s.Rate <= 1) {
 				err = fmt.Errorf("rate %g out of [0,1]", s.Rate)
 			}
 		case "times":
@@ -94,6 +94,9 @@ func ParseSchedule(spec string) (Schedule, error) {
 			}
 		case "nth":
 			s.Nth, err = strconv.ParseInt(val, 10, 64)
+			if err == nil && s.Nth < 0 {
+				err = fmt.Errorf("nth %d is negative", s.Nth)
+			}
 		case "seed":
 			s.Seed, err = strconv.ParseInt(val, 10, 64)
 		default:
