@@ -263,3 +263,30 @@ func TestBatchRPCWireFormat(t *testing.T) {
 		t.Fatalf("round trip %+v", back)
 	}
 }
+
+// TestBatchReplyOfWrongLengthIsAnError: a reply that does not hold one
+// result per binding, or whose error list is neither empty nor one per
+// binding, is an error rather than a shorter, silent result slice.
+func TestBatchReplyOfWrongLengthIsAnError(t *testing.T) {
+	one := &Result{Counts: map[string]int{"0": 1}}
+	for name, rep := range map[string]batchReply{
+		"short results": {Results: []*Result{one}},
+		"short errs":    {Results: []*Result{one, one}, Errs: []string{""}},
+	} {
+		server := defw.NewServer()
+		server.Register(ServiceName("short"), defw.HandlerFunc(func(string, []byte) ([]byte, error) {
+			return json.Marshal(rep)
+		}))
+		client := defw.NewPipeClient(server)
+		front, err := NewFrontend(client, Properties{Backend: "short"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := front.RunBatch(parametricAnsatz(t), []Bindings{{"theta": 0.1}, {"theta": 0.2}}, RunOptions{Shots: 1})
+		if err == nil {
+			t.Fatalf("%s: a reply of %d results and %d errors for 2 bindings was accepted as %d results", name, len(rep.Results), len(rep.Errs), len(results))
+		}
+		client.Close()
+		server.Close()
+	}
+}

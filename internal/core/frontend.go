@@ -172,11 +172,15 @@ func (f *Frontend) RunBatchAsync(c *circuit.Circuit, bindings []Bindings, opts R
 
 // Results blocks until the reply arrives and returns the ordered results.
 // On element failures it returns the partial results (nil at the failed
-// slots) together with the first element error.
+// slots) together with the first element error. A reply that does not hold
+// one result (and none or one error string) per binding is an error.
 func (p *PendingBatch) Results() ([]*Result, error) {
 	var resp batchReply
 	if err := reply(p.call, &resp); err != nil {
 		return nil, err
+	}
+	if len(resp.Results) != p.N || len(resp.Errs) != 0 && len(resp.Errs) != p.N {
+		return nil, fmt.Errorf("core: batch returned %d results and %d errors for %d bindings", len(resp.Results), len(resp.Errs), p.N)
 	}
 	for i, e := range resp.Errs {
 		if e != "" {

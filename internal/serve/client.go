@@ -53,6 +53,10 @@ func (c *Client) exec(spec core.CircuitSpec, bindings []core.Bindings, opts core
 	if err := defw.CallJSON(c.rpc, c.service, "exec", req, &resp); err != nil {
 		return nil, nil, ExecInfo{}, err
 	}
+	// The server answers a submission without bindings as one element.
+	if n := max(len(bindings), 1); len(resp.Results) != n || len(resp.Errs) != 0 && len(resp.Errs) != n {
+		return nil, nil, ExecInfo{}, fmt.Errorf("serve: exec returned %d results and %d errors for %d elements", len(resp.Results), len(resp.Errs), n)
+	}
 	if resp.Errs == nil {
 		resp.Errs = make([]string, len(resp.Results))
 	}

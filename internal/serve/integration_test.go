@@ -230,3 +230,35 @@ func TestAnalyticFillAndReplayShipNoCounts(t *testing.T) {
 		t.Fatalf("replay payload %s != fill %s", b, a)
 	}
 }
+
+// TestClientRejectsAReplyOfWrongLength: the typed client turns a reply that
+// does not hold one result per element (and none or one error string per
+// element) into an error instead of passing a short slice on.
+func TestClientRejectsAReplyOfWrongLength(t *testing.T) {
+	one := &core.Result{Counts: map[string]int{"0": 1}}
+	rpc := defw.NewServer()
+	defer rpc.Close()
+	var rep ExecResp
+	rpc.Register(ServiceName("short"), defw.HandlerFunc(func(string, []byte) ([]byte, error) {
+		return json.Marshal(rep)
+	}))
+	cl := NewClient(defw.NewPipeClient(rpc), "short", "t")
+	sp := testSpec("short-reply")
+	two := []core.Bindings{{"a": 1}, {"a": 2}}
+	rep = ExecResp{Results: []*core.Result{one}}
+	if _, _, _, err := cl.RunBatch(sp, two, core.RunOptions{Shots: 1}); err == nil {
+		t.Fatal("one result for two bindings was accepted")
+	}
+	rep = ExecResp{Results: []*core.Result{one, one}, Errs: []string{""}}
+	if _, _, _, err := cl.RunBatch(sp, two, core.RunOptions{Shots: 1}); err == nil {
+		t.Fatal("one error string for two bindings was accepted")
+	}
+	rep = ExecResp{}
+	if _, _, err := cl.Run(sp, core.RunOptions{Shots: 1}); err == nil {
+		t.Fatal("no result for a single run was accepted")
+	}
+	rep = ExecResp{Results: []*core.Result{one, one}}
+	if out, errs, _, err := cl.RunBatch(sp, two, core.RunOptions{Shots: 1}); err != nil || len(out) != 2 || len(errs) != 2 {
+		t.Fatalf("a well-formed reply came back as %d results, %d errors, %v", len(out), len(errs), err)
+	}
+}
