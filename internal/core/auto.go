@@ -96,7 +96,7 @@ func (a *AutoExecutor) Capabilities() Capabilities {
 }
 
 // Decision is one routing verdict: the chosen engine, the sized resources,
-// and the predicted per-element cost (0 without calibration).
+// and the predicted per-element cost (0 for a fallback).
 type Decision struct {
 	Backend     string
 	Sub         string

@@ -278,6 +278,7 @@ func TestBatchReplyOfWrongLengthIsAnError(t *testing.T) {
 			return json.Marshal(rep)
 		}))
 		client := defw.NewPipeClient(server)
+		t.Cleanup(func() { client.Close(); server.Close() })
 		front, err := NewFrontend(client, Properties{Backend: "short"})
 		if err != nil {
 			t.Fatal(err)
@@ -286,7 +287,5 @@ func TestBatchReplyOfWrongLengthIsAnError(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: a reply of %d results and %d errors for 2 bindings was accepted as %d results", name, len(rep.Results), len(rep.Errs), len(results))
 		}
-		client.Close()
-		server.Close()
 	}
 }
