@@ -3,6 +3,8 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -225,6 +227,35 @@ func TestFromEnv(t *testing.T) {
 	t.Setenv(EnvVar, "garbage")
 	if FromEnv() != nil {
 		t.Fatal("malformed env produced a schedule")
+	}
+}
+
+// TestFromEnvReportsOnce: one start reads QFW_FAULTS at several call
+// sites, and a malformed value is reported once, not once per read.
+func TestFromEnvReportsOnce(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	t.Cleanup(func() { os.Stderr = stderr })
+	const spec = "nth=-1,seed=53"
+	reported.Delete(spec) // an earlier run of this test in the process reported it
+	t.Setenv(EnvVar, spec)
+	for i := 0; i < 3; i++ {
+		if FromEnv() != nil {
+			t.Fatal("malformed env produced a schedule")
+		}
+	}
+	os.Stderr = stderr
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(out), "faults: ignoring"); n != 1 {
+		t.Fatalf("three reads of one malformed value printed %d reports:\n%s", n, out)
 	}
 }
 

@@ -114,7 +114,8 @@ func ParseSchedule(spec string) (Schedule, error) {
 
 // FromEnv reads the QFW_FAULTS schedule; nil when unset. A malformed
 // value is reported on stderr and ignored rather than silently arming a
-// wrong schedule.
+// wrong schedule. Each call reads the environment afresh, but a value is
+// reported only the first time: one start reads it at several call sites.
 func FromEnv() *Schedule {
 	spec := os.Getenv(EnvVar)
 	if spec == "" {
@@ -122,11 +123,16 @@ func FromEnv() *Schedule {
 	}
 	s, err := ParseSchedule(spec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "faults: ignoring %s=%q: %v\n", EnvVar, spec, err)
+		if _, seen := reported.LoadOrStore(spec, true); !seen {
+			fmt.Fprintf(os.Stderr, "faults: ignoring %s=%q: %v\n", EnvVar, spec, err)
+		}
 		return nil
 	}
 	return &s
 }
+
+// reported holds the malformed QFW_FAULTS values FromEnv has reported.
+var reported sync.Map
 
 // Injector applies a Schedule to keyed call sites. Marking is a pure
 // function of (key, seed), so which elements fail is independent of
