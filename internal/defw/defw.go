@@ -5,6 +5,14 @@
 // in-process pipe transport for single-binary runs, with synchronous calls
 // and asynchronous calls with correlation IDs — the mechanism behind QFw's
 // non-blocking execution of variational workloads.
+//
+// A frame's body is the JSON envelope of one request or reply, and its
+// bytes are exactly json.Marshal's. envelope.go writes and reads the
+// common shape by hand: plain-ASCII names with nothing to escape, no
+// error text, and a payload that is valid JSON that encoding/json's
+// compaction leaves unchanged. Everything else, every error reply
+// included, goes through encoding/json. A payload read by hand is a slice
+// of its frame, not a copy.
 package defw
 
 import (
@@ -68,17 +76,6 @@ func (s *Server) Register(name string, h Handler) {
 	s.mu.Unlock()
 }
 
-// Services lists registered service names.
-func (s *Server) Services() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.services))
-	for n := range s.services {
-		out = append(out, n)
-	}
-	return out
-}
-
 // ListenTCP starts accepting connections on addr ("127.0.0.1:0" for an
 // ephemeral port) and returns the bound address.
 func (s *Server) ListenTCP(addr string) (string, error) {
@@ -129,30 +126,28 @@ func (s *Server) ServeConn(conn net.Conn) {
 		if err != nil {
 			break
 		}
-		var req request
-		if err := json.Unmarshal(frame, &req); err != nil {
+		req, err := decodeRequest(frame)
+		if err != nil {
 			break
 		}
 		handlers.Add(1)
 		go func(req request) {
 			defer handlers.Done()
 			resp := s.dispatch(req)
-			data, err := json.Marshal(resp)
-			if err != nil {
-				return
-			}
-			if uint64(len(data)) > uint64(maxFrameBytes) {
+			bp := framePool.Get().(*[]byte)
+			buf, err := appendResponse(startFrame(bp), resp)
+			if n := len(buf) - frameHeader; err == nil && uint64(n) > uint64(maxFrameBytes) {
 				// Replace an over-cap reply with a clean RPC error so the
 				// caller gets an answer instead of a dead connection.
-				resp = response{ID: resp.ID, Err: fmt.Sprintf("defw: response exceeds frame cap (%d bytes)", len(data))}
-				data, err = json.Marshal(resp)
-				if err != nil {
-					return
-				}
+				resp = response{ID: resp.ID, Err: fmt.Sprintf("defw: response exceeds frame cap (%d bytes)", n)}
+				buf, err = appendResponse(buf[:frameHeader], resp)
 			}
-			writeMu.Lock()
-			writeFrame(conn, data)
-			writeMu.Unlock()
+			if err == nil {
+				writeMu.Lock()
+				sendFrame(conn, buf)
+				writeMu.Unlock()
+			}
+			putFrame(bp, buf)
 		}(req)
 	}
 	handlers.Wait()
@@ -235,28 +230,50 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return buf, nil
 }
 
-// framePool recycles the buffers writeFrame assembles frames in. Buffers
-// that grew past maxPooledFrame are dropped instead of pooled, so one huge
-// reply does not pin its memory until the next GC cycle clears the pool.
+// framePool recycles the buffers frames are encoded in. Buffers that grew
+// past maxPooledFrame are dropped instead of pooled, so one huge reply does
+// not pin its memory until the next GC cycle clears the pool.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledFrame = 4 << 20
 
-// writeFrame sends the 4-byte big-endian length and the body in a single
-// Write: one syscall and, with TCP_NODELAY, one segment for a small frame
-// instead of a header segment followed by a body segment.
-func writeFrame(w io.Writer, data []byte) error {
-	if uint64(len(data)) > uint64(maxFrameBytes) {
-		return fmt.Errorf("defw: frame too large (%d bytes, cap %d)", len(data), maxFrameBytes)
-	}
-	bp := framePool.Get().(*[]byte)
-	buf := binary.BigEndian.AppendUint32((*bp)[:0], uint32(len(data)))
-	buf = append(buf, data...)
-	_, err := w.Write(buf)
+// frameHeader is the length of a frame's big-endian length prefix.
+const frameHeader = 4
+
+// startFrame returns bp's buffer emptied but for the frameHeader bytes
+// that sendFrame fills in, so a body can be encoded straight behind them.
+func startFrame(bp *[]byte) []byte {
+	return append((*bp)[:0], 0, 0, 0, 0)
+}
+
+// putFrame returns a buffer grown from startFrame(bp) to the pool.
+func putFrame(bp *[]byte, buf []byte) {
 	if cap(buf) <= maxPooledFrame {
 		*bp = buf[:0]
 		framePool.Put(bp)
 	}
+}
+
+// sendFrame fills in the length of buf, a frame grown from startFrame, and
+// sends it in a single Write: one syscall and, with TCP_NODELAY, one
+// segment for a small frame instead of a header segment followed by a body
+// segment.
+func sendFrame(w io.Writer, buf []byte) error {
+	n := len(buf) - frameHeader
+	if uint64(n) > uint64(maxFrameBytes) {
+		return fmt.Errorf("defw: frame too large (%d bytes, cap %d)", n, maxFrameBytes)
+	}
+	binary.BigEndian.PutUint32(buf, uint32(n))
+	_, err := w.Write(buf)
+	return err
+}
+
+// writeFrame sends data as one frame.
+func writeFrame(w io.Writer, data []byte) error {
+	bp := framePool.Get().(*[]byte)
+	buf := append(startFrame(bp), data...)
+	err := sendFrame(w, buf)
+	putFrame(bp, buf)
 	return err
 }
 
@@ -320,8 +337,8 @@ func (c *Client) readLoop() {
 			c.failAll(err)
 			return
 		}
-		var resp response
-		if err := json.Unmarshal(frame, &resp); err != nil {
+		resp, err := decodeResponse(frame)
+		if err != nil {
 			c.failAll(err)
 			return
 		}
@@ -366,19 +383,25 @@ func (c *Client) Go(service, method string, payload []byte) *Call {
 	c.pending[id] = call
 	c.mu.Unlock()
 
-	req := request{ID: id, Service: service, Method: method, Payload: payload}
-	data, err := json.Marshal(req)
+	bp := framePool.Get().(*[]byte)
+	buf, err := appendRequest(startFrame(bp), request{ID: id, Service: service, Method: method, Payload: payload})
 	if err == nil {
 		c.writeMu.Lock()
-		err = writeFrame(c.conn, data)
+		err = sendFrame(c.conn, buf)
 		c.writeMu.Unlock()
 	}
+	putFrame(bp, buf)
 	if err != nil {
+		// A lost connection may have failed the call already (failAll):
+		// only the side whose delete takes it out of pending completes it.
 		c.mu.Lock()
+		_, mine := c.pending[id]
 		delete(c.pending, id)
 		c.mu.Unlock()
-		call.err = err
-		close(call.Done)
+		if mine {
+			call.err = err
+			close(call.Done)
+		}
 	}
 	return call
 }

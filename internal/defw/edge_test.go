@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestOversizedFrameRejected(t *testing.T) {
@@ -224,5 +225,24 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 		if _, err := c.Call("echo", "run", nil); err == nil {
 			t.Fatal("call succeeded after server close")
 		}
+	}
+}
+
+// TestGoRacesConnectionLoss: the connection drops while Go is writing a
+// request, so the read loop's failAll and Go's own write error both try to
+// complete the call. It must complete once, with an error, and not panic
+// on a second close of Done.
+func TestGoRacesConnectionLoss(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		cliConn, srvConn := net.Pipe()
+		c := newClient(cliConn)
+		issued := make(chan *Call)
+		go func() { issued <- c.Go("echo", "run", []byte(`1`)) }()
+		time.Sleep(time.Millisecond)
+		srvConn.Close()
+		if _, err := (<-issued).Result(); err == nil {
+			t.Fatal("a call whose connection dropped mid-write succeeded")
+		}
+		c.Close()
 	}
 }
