@@ -15,11 +15,13 @@
 // capability row, its default sub-backend, and a table from sub-backend
 // name to an engine (with its kernel-width rule and MPS bond cap) or to
 // the error of a name that does not run yet. One executor, local, serves
-// all four: it parses every request through the backend's ParseCache and
-// hands it to the engine of the requested row. Each engine is written
-// once: the dense state vector (fused or staged), the distributed state
-// vector, the compiled MPS, the stabilizer, and the tensor network, whole
-// or sliced across ranks.
+// all four: it parses every request through the session's spec store
+// (core.Env.Specs, one ParseCache keyed by spec content that the QPMs and
+// the router share, so a spec parses and plans once per session) and hands
+// it to the engine of the requested row. Each engine is written once: the
+// dense state vector (fused or staged), the distributed state vector, the
+// compiled MPS, the stabilizer, and the tensor network, whole or sliced
+// across ranks.
 //
 // Each backend registers itself with the core registry from init, so
 // importing this package makes every backend available to core.Launch.
@@ -43,11 +45,11 @@ func init() {
 	core.RegisterBackend("ionq", newIonQ)
 }
 
-// parsed fetches a spec's parse through the backend's cache and checks the
+// parsed fetches a spec's parse through the spec store and checks the
 // request's observable against its width, so an observable that does not
 // fit the circuit is refused with one error text before any engine sees it.
-func parsed(cache *core.ParseCache, spec core.CircuitSpec, opts core.RunOptions) (*circuit.Circuit, error) {
-	c, err := cache.Get(spec)
+func parsed(specs *core.ParseCache, spec core.CircuitSpec, opts core.RunOptions) (*circuit.Circuit, error) {
+	c, err := specs.Get(spec)
 	if err != nil {
 		return nil, fmt.Errorf("backend: bad circuit spec: %w", err)
 	}

@@ -91,10 +91,10 @@ func TestLocalBackendsBatchParseOnce(t *testing.T) {
 		make  func(*core.Env) (core.Executor, error)
 		cache func(core.Executor) *core.ParseCache
 	}{
-		{"nwqsim", "openmp", nwqsim.open, func(e core.Executor) *core.ParseCache { return localOf(e).cache }},
-		{"aer", "statevector", aer.open, func(e core.Executor) *core.ParseCache { return localOf(e).cache }},
-		{"tnqvm", "exatn-mps", tnqvm.open, func(e core.Executor) *core.ParseCache { return localOf(e).cache }},
-		{"qtensor", "numpy", qtensor.open, func(e core.Executor) *core.ParseCache { return localOf(e).cache }},
+		{"nwqsim", "openmp", nwqsim.open, func(e core.Executor) *core.ParseCache { return localOf(e).env.Specs() }},
+		{"aer", "statevector", aer.open, func(e core.Executor) *core.ParseCache { return localOf(e).env.Specs() }},
+		{"tnqvm", "exatn-mps", tnqvm.open, func(e core.Executor) *core.ParseCache { return localOf(e).env.Specs() }},
+		{"qtensor", "numpy", qtensor.open, func(e core.Executor) *core.ParseCache { return localOf(e).env.Specs() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -130,7 +130,6 @@ func TestLocalBackendsBatchParseOnce(t *testing.T) {
 // one spec parse once, share the cached circuit, and only the dense engines
 // (state vector and distributed) build a fusion plan, once.
 func TestSingleRunsParseOnce(t *testing.T) {
-	env := testEnv(t)
 	spec, err := core.SpecFromCircuit(ghz(6))
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +158,7 @@ func TestSingleRunsParseOnce(t *testing.T) {
 	}
 	for _, tc := range cases {
 		name := tc.rec.caps.Backend + "/" + tc.sub
-		exec, err := tc.rec.open(env)
+		exec, err := tc.rec.open(testEnv(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +173,7 @@ func TestSingleRunsParseOnce(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		cache := localOf(exec).cache
+		cache := localOf(exec).env.Specs()
 		if got := cache.Parses(); got != 1 {
 			t.Errorf("%s: %d parses for two runs of one spec, want 1", name, got)
 		}
@@ -226,10 +225,10 @@ func TestNWQSimMPIBatchPersistentWorld(t *testing.T) {
 	if len(batch) != K {
 		t.Fatalf("%d results, want %d", len(batch), K)
 	}
-	if got := b.cache.Parses(); got != 1 {
+	if got := b.env.Specs().Parses(); got != 1 {
 		t.Fatalf("QASM parses = %d, want 1 for the whole batch", got)
 	}
-	if got := b.cache.Fusions(); got != 1 {
+	if got := b.env.Specs().Fusions(); got != 1 {
 		t.Fatalf("fusion plans = %d, want 1 for the whole batch", got)
 	}
 	for i, bd := range bindings {
@@ -281,7 +280,7 @@ func TestIonQBatchJobArray(t *testing.T) {
 	if first, last := p1(results[0].Counts), p1(results[2].Counts); first > 0.1 || last < 0.9 {
 		t.Fatalf("cloud batch order broken: P1(first)=%.2f P1(last)=%.2f", first, last)
 	}
-	if got := b.cache.Parses(); got != 1 {
+	if got := b.env.Specs().Parses(); got != 1 {
 		t.Fatalf("QASM parses = %d, want 1", got)
 	}
 }

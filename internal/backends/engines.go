@@ -16,8 +16,8 @@ import (
 
 // engine is one simulation method, written once. execute runs a single
 // request, seeded by seedOf; batch runs the bindings of a spec, element i
-// seeded by opts.ForElement(i). c is the spec's cached parse, which engines
-// must not modify.
+// seeded by opts.ForElement(i). c is the spec's parse from the session's
+// spec store, which engines must not modify.
 type engine interface {
 	execute(l *local, s sub, spec core.CircuitSpec, c *circuit.Circuit, opts core.RunOptions) (core.ExecResult, error)
 	batch(l *local, s sub, spec core.CircuitSpec, c *circuit.Circuit, bindings []core.Bindings, opts core.RunOptions) ([]core.ExecResult, error)
@@ -36,7 +36,7 @@ var (
 	}}
 )
 
-// plans is what a dense run takes from the parse cache: the fusion plan of
+// plans is what a dense run takes from the spec store: the fusion plan of
 // the measurement-stripped body and, at MinQubits and above, its tile
 // schedule (nil when the body does not tile or is too small to stage).
 // Both are exactly what statevec.RunFused would compute on the spot.
@@ -46,9 +46,9 @@ type plans struct {
 }
 
 // perCircuit adapts a runner of one bound circuit into an engine. A batch
-// rebinds each element into the cached parse and fans the elements out on
-// a core-bounded pool; dense runners get the spec's cached plans, fetched
-// once per request.
+// rebinds each element into the stored parse and fans the elements out on
+// a core-bounded pool; dense runners get the spec's stored plans, fetched
+// once per request (the router's fusion plan, when it routed the spec).
 type perCircuit struct {
 	run   func(l *local, s sub, c *circuit.Circuit, p plans, opts core.RunOptions) (core.ExecResult, error)
 	dense bool
@@ -90,9 +90,9 @@ func (e perCircuit) plansFor(l *local, spec core.CircuitSpec, n int) (plans, err
 	var p plans
 	var err error
 	if tun := statevec.CurrentTuning(); n >= tun.MinQubits {
-		_, p.fuse, p.sched, err = l.cache.GetStaged(spec, tun.TileBitsFor(n))
+		_, p.fuse, p.sched, err = l.env.Specs().GetStaged(spec, tun.TileBitsFor(n))
 	} else {
-		_, p.fuse, err = l.cache.GetFused(spec)
+		_, p.fuse, err = l.env.Specs().GetFused(spec)
 	}
 	if err != nil {
 		return plans{}, fmt.Errorf("backend: bad circuit spec: %w", err)
@@ -101,7 +101,7 @@ func (e perCircuit) plansFor(l *local, spec core.CircuitSpec, n int) (plans, err
 }
 
 // runDense is the node-local state-vector engine: fused, or staged over
-// cache-blocked tiles when the cached schedule says so.
+// cache-blocked tiles when the stored schedule says so.
 func runDense(l *local, s sub, c *circuit.Circuit, p plans, opts core.RunOptions) (core.ExecResult, error) {
 	if err := checkStateVectorBudget(c.NQubits, l.env.MemBudgetBytes); err != nil {
 		return core.ExecResult{}, err
@@ -290,7 +290,7 @@ func (distributedSV) execute(l *local, s sub, spec core.CircuitSpec, c *circuit.
 		return fellBack([]core.ExecResult{res})[0], nil
 	}
 	defer pg.Release()
-	_, plan, err := l.cache.GetFused(spec)
+	_, plan, err := l.env.Specs().GetFused(spec)
 	if err != nil {
 		return core.ExecResult{}, fmt.Errorf("backend: bad circuit spec: %w", err)
 	}
@@ -310,9 +310,9 @@ func (distributedSV) execute(l *local, s sub, spec core.CircuitSpec, c *circuit.
 }
 
 // batch keeps one process group and one world across all bindings (ranks
-// spawn once per batch, not once per element) and shares the cached plan.
+// spawn once per batch, not once per element) and shares the stored plan.
 func (distributedSV) batch(l *local, s sub, spec core.CircuitSpec, base *circuit.Circuit, bindings []core.Bindings, opts core.RunOptions) ([]core.ExecResult, error) {
-	_, plan, err := l.cache.GetFused(spec)
+	_, plan, err := l.env.Specs().GetFused(spec)
 	if err != nil {
 		return nil, fmt.Errorf("backend: bad circuit spec: %w", err)
 	}
@@ -385,14 +385,14 @@ func workersPerRank(ranks int) int {
 	return max(runtime.GOMAXPROCS(0)/ranks, 1)
 }
 
-// compiledMPS runs the routed MPS schedule the parse cache keeps per spec
+// compiledMPS runs the routed MPS schedule the spec store keeps per spec
 // (parse, transpile, fusion plan and swap route, once per distinct spec):
 // a single run at the row's kernel width, batch elements at width 1 — the
 // parallelism budget goes to the fan-out. Failures carry the row's label.
 type compiledMPS struct{}
 
 func (compiledMPS) execute(l *local, s sub, spec core.CircuitSpec, _ *circuit.Circuit, opts core.RunOptions) (core.ExecResult, error) {
-	cc, err := compileMPS(l.cache, spec)
+	cc, err := compileMPS(l.env.Specs(), spec)
 	if err == nil && len(cc.Params()) > 0 {
 		err = parametric(spec, cc.Params())
 	}
@@ -407,7 +407,7 @@ func (compiledMPS) execute(l *local, s sub, spec core.CircuitSpec, _ *circuit.Ci
 }
 
 func (compiledMPS) batch(l *local, s sub, spec core.CircuitSpec, _ *circuit.Circuit, bindings []core.Bindings, opts core.RunOptions) ([]core.ExecResult, error) {
-	cc, err := compileMPS(l.cache, spec)
+	cc, err := compileMPS(l.env.Specs(), spec)
 	var out []core.ExecResult
 	if err == nil {
 		out, err = fanOut(len(bindings), func(i int) (core.ExecResult, error) {
@@ -424,9 +424,9 @@ func (compiledMPS) batch(l *local, s sub, spec core.CircuitSpec, _ *circuit.Circ
 	return out, nil
 }
 
-// compileMPS fetches the compiled MPS schedule of a spec through the cache.
-func compileMPS(cache *core.ParseCache, spec core.CircuitSpec) (*mps.Compiled, error) {
-	v, err := cache.Memo(spec, "mps-schedule", func(c *circuit.Circuit) (any, error) {
+// compileMPS fetches the compiled MPS schedule of a spec through the store.
+func compileMPS(specs *core.ParseCache, spec core.CircuitSpec) (*mps.Compiled, error) {
+	v, err := specs.Memo(spec, "mps-schedule", func(c *circuit.Circuit) (any, error) {
 		return mps.CompileCircuit(c)
 	})
 	if err != nil {

@@ -13,8 +13,9 @@ type gradLocal struct{ *local }
 
 // ExecuteGradient implements core.GradientExecutor: the spec is parsed —
 // and its gradient-aware fusion plan built — once per ansatz through the
-// backend's cache, then every binding runs one adjoint sweep (forward +
-// reverse, three arena-backed states) node-local on the chunked kernels.
+// session's spec store, then every binding runs one adjoint sweep
+// (forward + reverse, three arena-backed states) node-local on the chunked
+// kernels.
 // Bindings fan out across a core-bounded worker pool; the kernel
 // parallelism divides the cores among the in-flight sweeps so a gradient
 // batch never oversubscribes the node. Sub-backends outside the capability
@@ -25,7 +26,7 @@ func (g gradLocal) ExecuteGradient(spec core.CircuitSpec, bindings []core.Bindin
 	if subs := g.rec.caps.GradientSubs; len(subs) > 0 && !slices.Contains(subs, name) {
 		return nil, fmt.Errorf("%s: adjoint gradients need the statevector sub-backend, got %q", g.Name(), name)
 	}
-	c, err := parsed(g.cache, spec, opts)
+	c, err := parsed(g.env.Specs(), spec, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -35,7 +36,7 @@ func (g gradLocal) ExecuteGradient(spec core.CircuitSpec, bindings []core.Bindin
 	if opts.Observable == nil {
 		return nil, fmt.Errorf("backend: gradient execution requires an observable")
 	}
-	_, gplan, err := g.cache.GetGrad(spec)
+	_, gplan, err := g.env.Specs().GetGrad(spec)
 	if err != nil {
 		return nil, fmt.Errorf("backend: bad circuit spec: %w", err)
 	}

@@ -152,7 +152,7 @@ func TestGradientPlansOncePerBatch(t *testing.T) {
 	if _, err := b.ExecuteGradient(spec, bindings, core.RunOptions{Observable: gradTestObs}); err != nil {
 		t.Fatal(err)
 	}
-	if got := localOf(exec).cache.Grads(); got != 1 {
+	if got := localOf(exec).env.Specs().Grads(); got != 1 {
 		t.Fatalf("gradient plans built %d, want 1 per ansatz", got)
 	}
 }

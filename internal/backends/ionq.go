@@ -17,7 +17,6 @@ type ionqBackend struct {
 	env     *core.Env
 	service *ionq.Service
 	client  *ionq.Client
-	cache   *core.ParseCache
 }
 
 func newIonQ(env *core.Env) (core.Executor, error) {
@@ -43,7 +42,7 @@ func newIonQ(env *core.Env) (core.Executor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ionq: cloud service failed to start: %w", err)
 	}
-	return &ionqBackend{env: env, service: svc, client: ionq.NewClient(svc.URL()), cache: core.NewParseCache()}, nil
+	return &ionqBackend{env: env, service: svc, client: ionq.NewClient(svc.URL())}, nil
 }
 
 func (b *ionqBackend) Name() string { return "ionq" }
@@ -102,15 +101,15 @@ func countsResult(counts map[string]int, obs *core.Observable) (core.ExecResult,
 }
 
 // ExecuteBatch implements core.BatchExecutor on the cloud path: the ansatz
-// parses once into the cache, every element rebinds and serializes, and the
-// whole batch maps onto one REST job array — one round trip to submit and
-// one long-poll round trip to collect, instead of a submit+poll loop per
-// evaluation.
+// parses once into the spec store, every element rebinds and serializes,
+// and the whole batch maps onto one REST job array — one round trip to
+// submit and one long-poll round trip to collect, instead of a submit+poll
+// loop per evaluation.
 func (b *ionqBackend) ExecuteBatch(spec core.CircuitSpec, bindings []core.Bindings, opts core.RunOptions) ([]core.ExecResult, error) {
 	if err := b.checkOpts(opts); err != nil {
 		return nil, err
 	}
-	base, err := parsed(b.cache, spec, opts)
+	base, err := parsed(b.env.Specs(), spec, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +147,7 @@ func (b *ionqBackend) Execute(spec core.CircuitSpec, opts core.RunOptions) (core
 	// The QASM goes to the cloud as sent; only an observable needs the
 	// local parse, for the width it must fit.
 	if opts.Observable != nil {
-		if _, err := parsed(b.cache, spec, opts); err != nil {
+		if _, err := parsed(b.env.Specs(), spec, opts); err != nil {
 			return core.ExecResult{}, err
 		}
 	}

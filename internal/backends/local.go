@@ -153,25 +153,24 @@ var (
 	}
 )
 
-// open is the record's core.Factory: one local executor with its own
-// parse cache. Only records with gradients implement core.GradientExecutor,
-// because the router and the fault injector discover gradient support by
-// type assertion.
+// open is the record's core.Factory: one local executor over the
+// environment's spec store. Only records with gradients implement
+// core.GradientExecutor, because the router and the fault injector discover
+// gradient support by type assertion.
 func (r *record) open(env *core.Env) (core.Executor, error) {
-	l := &local{rec: r, env: env, cache: core.NewParseCache()}
+	l := &local{rec: r, env: env}
 	if r.caps.Gradients {
 		return gradLocal{l}, nil
 	}
 	return l, nil
 }
 
-// local is the executor of every local backend: it parses through its
-// cache, looks the sub-backend up in its record, and hands the request to
-// that row's engine.
+// local is the executor of every local backend: it parses through the
+// environment's spec store, looks the sub-backend up in its record, and
+// hands the request to that row's engine.
 type local struct {
-	rec   *record
-	env   *core.Env
-	cache *core.ParseCache
+	rec *record
+	env *core.Env
 }
 
 func (l *local) Name() string { return l.rec.caps.Backend }
@@ -187,7 +186,7 @@ func (l *local) Execute(spec core.CircuitSpec, opts core.RunOptions) (core.ExecR
 }
 
 // ExecuteBatch implements core.BatchExecutor: every element rebinds into
-// the cached parse of the ansatz, so a batch of K evaluations parses (and
+// the stored parse of the ansatz, so a batch of K evaluations parses (and
 // plans or compiles) once, not K times.
 func (l *local) ExecuteBatch(spec core.CircuitSpec, bindings []core.Bindings, opts core.RunOptions) ([]core.ExecResult, error) {
 	c, s, err := l.resolve(spec, opts)
@@ -197,10 +196,10 @@ func (l *local) ExecuteBatch(spec core.CircuitSpec, bindings []core.Bindings, op
 	return s.eng.batch(l, s, spec, c, bindings, opts)
 }
 
-// resolve parses the spec through the cache, checks the observable against
+// resolve parses the spec through the store, checks the observable against
 // its width, and picks the sub-backend's row.
 func (l *local) resolve(spec core.CircuitSpec, opts core.RunOptions) (*circuit.Circuit, sub, error) {
-	c, err := parsed(l.cache, spec, opts)
+	c, err := parsed(l.env.Specs(), spec, opts)
 	if err != nil {
 		return nil, sub{}, err
 	}

@@ -50,8 +50,8 @@ func TestMPSBatchCompileOncePerSpec(t *testing.T) {
 		make  func(*core.Env) (core.Executor, error)
 		cache func(core.Executor) *core.ParseCache
 	}{
-		{"aer", "matrix_product_state", aer.open, func(e core.Executor) *core.ParseCache { return localOf(e).cache }},
-		{"tnqvm", "exatn-mps", tnqvm.open, func(e core.Executor) *core.ParseCache { return localOf(e).cache }},
+		{"aer", "matrix_product_state", aer.open, func(e core.Executor) *core.ParseCache { return localOf(e).env.Specs() }},
+		{"tnqvm", "exatn-mps", tnqvm.open, func(e core.Executor) *core.ParseCache { return localOf(e).env.Specs() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -17,10 +17,10 @@ package circuit
 // binding-independent — dense segments are constrained on their merged
 // support, diagonal runs are unconstrained, passthrough gates keep their
 // own locality rule — so one schedule serves every binding of a parametric
-// ansatz and the ParseCache stores it beside the fusion plan. Stage op
-// indices are segment indices, matching CompileSeq's one-op-per-segment
-// programs. The circuit must have the structure the plan was built from
-// (any binding works; only kinds and qubits are read).
+// ansatz and the session's spec store (core.ParseCache) keeps it beside the
+// fusion plan. Stage op indices are segment indices, matching CompileSeq's
+// one-op-per-segment programs. The circuit must have the structure the
+// plan was built from (any binding works; only kinds and qubits are read).
 //
 // An error means the structure cannot be tiled at this granularity (a block
 // wider than a tile); callers fall back to per-op execution.

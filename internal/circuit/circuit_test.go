@@ -3,6 +3,7 @@ package circuit
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -334,6 +335,30 @@ func TestSymbolicQASMRoundTrip(t *testing.T) {
 	}
 	if origQASM != backQASM {
 		t.Fatalf("bound round trip mismatch:\n%s\nvs\n%s", origQASM, backQASM)
+	}
+}
+
+// TestParsedCircuitDoesNotPinSource: a parsed parametric circuit keeps no
+// copy of the QASM text alive, only its parameter names. A spec store keeps
+// each spec's QASM as its key beside the parse, so a parse that pinned the
+// text too would hold it twice.
+func TestParsedCircuitDoesNotPinSource(t *testing.T) {
+	const pad = 4 << 20
+	src := "OPENQASM 2.0;\nqreg q[1];\n" + strings.Repeat(" ", pad) + "rx(2*theta) q[0];\n"
+	c, err := ParseQASM(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src = ""
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	if m.HeapAlloc > pad {
+		t.Fatalf("%d bytes live beside a one-gate circuit parsed from %d bytes of QASM", m.HeapAlloc, pad)
+	}
+	runtime.KeepAlive(c)
+	if names := c.ParamNames(); len(names) != 1 || names[0] != "theta" {
+		t.Fatalf("params %v, want [theta]", names)
 	}
 }
 

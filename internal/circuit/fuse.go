@@ -14,8 +14,8 @@ import (
 //
 //   - PlanFusion inspects only the circuit *structure* (kinds and qubits,
 //     never parameter values), so one plan serves every binding of a
-//     parametric ansatz — the spec-hash ParseCache computes it once per
-//     batch.
+//     parametric ansatz — the session's spec store (core.ParseCache, keyed
+//     by spec content) computes it once per spec.
 //   - FusionPlan.Compile takes a bound circuit with the same structure and
 //     produces the numeric FusedProgram the state-vector engine executes.
 //

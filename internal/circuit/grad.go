@@ -211,8 +211,8 @@ type GradProgram struct {
 // parametric ansatz: a fusion plan in which every gate carrying a symbolic
 // parameter stays a standalone differentiable boundary while the
 // non-parametric stretches between them fuse as usual. Like FusionPlan it
-// is built once per ansatz (the spec-hash ParseCache keeps it beside the
-// ordinary plan) and bound per batch element.
+// is built once per ansatz (the session's spec store, core.ParseCache, keeps
+// it beside the ordinary plan) and bound per batch element.
 type GradPlan struct {
 	src    *Circuit
 	plan   *FusionPlan

@@ -234,6 +234,22 @@ func ParseQASM(src string) (*Circuit, error) {
 	if c == nil {
 		return nil, fmt.Errorf("qasm: no qreg declared")
 	}
+	// Parameter names are slices of clean. Clone each distinct one once, so
+	// the circuit does not keep the whole copy of the text alive.
+	names := map[string]string{}
+	for _, g := range c.Gates {
+		for j, p := range g.Params {
+			if p.Name == "" {
+				continue
+			}
+			name, ok := names[p.Name]
+			if !ok {
+				name = strings.Clone(p.Name)
+				names[p.Name] = name
+			}
+			g.Params[j].Name = name
+		}
+	}
 	return c, nil
 }
 

@@ -15,22 +15,22 @@ import (
 // AutoExecutor implements the paper's stated future-work extension:
 // automated workload-driven backend selection. Routing is driven by the
 // calibrated cost model (internal/cost): per-circuit structural features are
-// extracted once per spec hash from the cached fusion plan, every registered
-// engine is sized (kernel workers from statevec.CurrentTuning, shard counts
-// for the distributed path, bond caps from the entanglement bound) and scored
-// on its fitted cost curve, and the argmin wins. Clifford circuits
-// short-circuit to the stabilizer engine — polynomial simulation beats every
-// dense engine at any size worth routing. When the model sizes no candidate
-// (no MPS engine registered and a circuit too large for every dense engine)
-// the first registered engine in sorted order is the primary, under rule
-// "fallback".
+// extracted once per spec from the fusion plan in the spec store, which the
+// chosen engine then runs from; every registered engine is sized (kernel
+// workers from statevec.CurrentTuning, shard counts for the distributed
+// path, bond caps from the entanglement bound) and scored on its fitted
+// cost curve, and the argmin wins. Clifford circuits short-circuit to the
+// stabilizer engine — polynomial simulation beats every dense engine at any
+// size worth routing. When the model sizes no candidate (no MPS engine
+// registered and a circuit too large for every dense engine) the first
+// registered engine in sorted order is the primary, under rule "fallback".
 //
 // Routing consults only the backends actually registered, so the selector
 // works on sessions launched with a backend subset. A batch is routed once,
 // from its shared spec, and runs whole on the chosen engine.
 type AutoExecutor struct {
 	execs    map[string]Executor
-	cache    *ParseCache
+	specs    *ParseCache // the session's store, or the router's own outside one
 	model    *cost.Model
 	memBytes int64 // dense-amplitude budget candidate sizing respects (0 = unbounded)
 }
@@ -40,7 +40,7 @@ type AutoExecutor struct {
 // execution time the submission moves to the next ranked candidate instead
 // of failing, and the result's Route is annotated "fallback:<engine>".
 func NewAutoExecutor(execs map[string]Executor) *AutoExecutor {
-	return &AutoExecutor{execs: execs, cache: NewParseCache(), model: cost.Current()}
+	return &AutoExecutor{execs: execs, specs: new(ParseCache), model: cost.Current()}
 }
 
 // WithModel overrides the cost model (non-nil) and returns the executor — a
@@ -127,7 +127,7 @@ var candidateSubs = map[string][]string{
 // primary and somewhere to degrade to. Without fallbacks only the primary
 // comes back.
 func (a *AutoExecutor) ranked(spec CircuitSpec, fallbacks bool) ([]Decision, error) {
-	f, err := a.cache.GetFeatures(spec)
+	f, err := a.specs.GetFeatures(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -249,8 +249,8 @@ func (a *AutoExecutor) Execute(spec CircuitSpec, opts RunOptions) (ExecResult, e
 
 // ExecuteBatch implements BatchExecutor: the route is decided once per batch
 // from the shared spec and the batch is delegated whole — natively when the
-// target supports batches, otherwise by rebinding each element through the
-// selector's parse cache — with the same fallback order as Execute.
+// target supports batches, otherwise through the spec store's bind-and-run
+// fallback — with the same fallback order as Execute.
 func (a *AutoExecutor) ExecuteBatch(spec CircuitSpec, bindings []Bindings, opts RunOptions) ([]ExecResult, error) {
 	cands, err := a.ranked(spec, true)
 	if err != nil {
@@ -284,26 +284,7 @@ func (a *AutoExecutor) delegateBatch(d Decision, spec CircuitSpec, bindings []Bi
 		return nil, fmt.Errorf("auto: selected backend %q not available", d.Backend)
 	}
 	applyResources(d.Backend, d.Sub, d.Res, &opts)
-	if be, ok := target.(BatchExecutor); ok {
-		return be.ExecuteBatch(spec, bindings, opts)
-	}
-	base, err := a.cache.Get(spec)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]ExecResult, len(bindings))
-	for i, b := range bindings {
-		bound := base.Bind(b)
-		elemSpec, serr := SpecFromCircuit(bound)
-		if serr != nil {
-			return nil, serr
-		}
-		results[i], err = target.Execute(elemSpec, opts.ForElement(i))
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return a.specs.executeBatch(target, spec, bindings, opts)
 }
 
 // gradPreference is the fixed adjoint-engine fallback order.
@@ -377,7 +358,7 @@ func (a *AutoExecutor) gradientTarget(f *cost.Features) (string, GradientExecuto
 // are the adjoint engines only and the sub-backend is left to the target's
 // default.
 func (a *AutoExecutor) ExecuteGradient(spec CircuitSpec, bindings []Bindings, opts RunOptions) ([]GradResult, error) {
-	f, _ := a.cache.GetFeatures(spec) // nil on error: the fixed order applies
+	f, _ := a.specs.GetFeatures(spec) // nil on error: the fixed order applies
 	cands := a.gradientTargets(f)
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("auto: no gradient-capable backend available")

@@ -308,14 +308,14 @@ func TestAutoFeaturesExtractedOncePerBatch(t *testing.T) {
 	if _, err := a.ExecuteBatch(spec, make([]Bindings, 6), RunOptions{Shots: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.cache.Memos(); got != 1 {
+	if got := a.specs.Memos(); got != 1 {
 		t.Fatalf("feature extractions after batch: %d, want 1", got)
 	}
 	// A second submission of the same spec reuses the memoized features.
 	if _, err := a.Execute(spec, RunOptions{Shots: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.cache.Memos(); got != 1 {
+	if got := a.specs.Memos(); got != 1 {
 		t.Fatalf("feature extractions after resubmit: %d, want 1", got)
 	}
 }

@@ -21,13 +21,13 @@ type FaultyExecutor struct {
 	inner Executor
 	inj   *faults.Injector
 	name  string
-	cache *ParseCache // per-element fallback when inner lacks batch support
+	specs *ParseCache // the session's store, or the wrapper's own outside one
 }
 
 // NewFaultyExecutor wraps inner with the injector. The wrapper keeps the
 // inner executor's name (WithName overrides it) and capability row.
 func NewFaultyExecutor(inner Executor, inj *faults.Injector) *FaultyExecutor {
-	return &FaultyExecutor{inner: inner, inj: inj, name: inner.Name(), cache: NewParseCache()}
+	return &FaultyExecutor{inner: inner, inj: inj, name: inner.Name(), specs: new(ParseCache)}
 }
 
 // WithName renames the wrapper (the registrable "faulty" test backend)
@@ -90,27 +90,7 @@ func (f *FaultyExecutor) ExecuteBatch(spec CircuitSpec, bindings []Bindings, opt
 			return nil, fmt.Errorf("batch element %d: %w", i, err)
 		}
 	}
-	if be, ok := f.inner.(BatchExecutor); ok {
-		return be.ExecuteBatch(spec, bindings, opts)
-	}
-	// Inner has no native batch support: replicate the QPM's bind-and-run
-	// fallback so the wrapper still satisfies BatchExecutor faithfully.
-	base, err := f.cache.Get(spec)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ExecResult, len(bindings))
-	for i, b := range bindings {
-		bound := base.Bind(b)
-		elemSpec, err := SpecFromCircuit(bound)
-		if err != nil {
-			return nil, fmt.Errorf("batch element %d: %w", i, err)
-		}
-		if out[i], err = f.inner.Execute(elemSpec, opts.ForElement(i)); err != nil {
-			return nil, fmt.Errorf("batch element %d: %w", i, err)
-		}
-	}
-	return out, nil
+	return f.specs.executeBatch(f.inner, spec, bindings, opts)
 }
 
 // ExecuteGradient implements GradientExecutor when the inner executor

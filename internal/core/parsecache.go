@@ -9,25 +9,37 @@ import (
 	"qfw/internal/cost"
 )
 
-// maxCachedSpecs bounds a ParseCache; a workload keeps a handful of
-// distinct specs alive (at most 6 per cache in the benchmark's route mix),
-// so the bound is generous and the eviction policy (drop everything)
-// trivially correct. Executors cache single runs' plans too, so a stream of
-// fresh specs (one QUBO per variational solve) holds at most this many.
+// maxCachedSpecs bounds a ParseCache, which Launch makes one of per
+// session. A workload keeps a handful of distinct specs alive (at most 6
+// in the benchmark's route mix), so the bound is generous and the eviction
+// policy (drop everything) trivially correct. Single runs' plans are stored
+// too, so a stream of fresh specs (one QUBO per variational solve) holds at
+// most this many, each with its QASM as the key.
 const maxCachedSpecs = 32
 
-// ParseCache deduplicates QASM parsing by spec hash. Concurrent Get calls
-// for the same spec are single-flighted: exactly one parse runs, everyone
-// shares the result — the property the batch pipeline's "parse once per
-// ansatz" guarantee rests on. Callers must treat the returned circuit as
-// immutable (Bind copies, so rebinding batch elements is safe).
+// ParseCache is a spec store: it deduplicates QASM parsing by spec content
+// (NQubits, QASM) and keeps each spec's plans beside its parse. Launch makes
+// one per session, shared by every QPM, the router and every executor it
+// builds (Env.Specs); a QPM, router or fault injector built outside a
+// session owns a private one. The zero value is an empty store. Concurrent
+// Get calls for the same spec are single-flighted: exactly one parse runs,
+// everyone shares the result — the property the batch pipeline's "parse
+// once per ansatz" guarantee rests on. Callers must treat the returned
+// circuit as immutable (Bind copies, so rebinding batch elements is safe).
 type ParseCache struct {
 	mu      sync.Mutex
-	entries map[string]*parseEntry
+	entries map[specKey]*parseEntry
 	parses  atomic.Int64
 	fusions atomic.Int64
 	grads   atomic.Int64
 	memos   atomic.Int64
+}
+
+// specKey is a spec's content: what its parse depends on. Keying by content
+// lets every layer look a spec up without hashing its QASM first.
+type specKey struct {
+	nqubits int
+	qasm    string
 }
 
 type parseEntry struct {
@@ -53,20 +65,18 @@ type memoEntry struct {
 	err  error
 }
 
-// NewParseCache returns an empty cache.
-func NewParseCache() *ParseCache {
-	return &ParseCache{entries: make(map[string]*parseEntry)}
-}
+// NewParseCache returns an empty store.
+func NewParseCache() *ParseCache { return new(ParseCache) }
 
 // entry returns the (possibly fresh) cache slot of the spec with its parse
 // completed — the shared core of Get and GetFused.
 func (pc *ParseCache) entry(spec CircuitSpec) *parseEntry {
-	key := spec.Hash()
+	key := specKey{spec.NQubits, spec.QASM}
 	pc.mu.Lock()
 	e, ok := pc.entries[key]
 	if !ok {
-		if len(pc.entries) >= maxCachedSpecs {
-			pc.entries = make(map[string]*parseEntry)
+		if pc.entries == nil || len(pc.entries) >= maxCachedSpecs {
+			pc.entries = make(map[specKey]*parseEntry)
 		}
 		e = &parseEntry{}
 		pc.entries[key] = e
@@ -176,8 +186,8 @@ func (pc *ParseCache) Memo(spec CircuitSpec, key string, build func(c *circuit.C
 
 // GetFeatures returns the cost-model features of the spec's
 // measurement-stripped body, extracted from the cached fusion plan and
-// memoized per spec hash — a batched submission computes its routing
-// features exactly once, like the parse and the plan.
+// memoized per spec — a batched submission computes its routing features
+// exactly once, like the parse and the plan.
 func (pc *ParseCache) GetFeatures(spec CircuitSpec) (*cost.Features, error) {
 	_, plan, err := pc.GetFused(spec)
 	if err != nil {
@@ -213,4 +223,31 @@ func (pc *ParseCache) Len() int {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	return len(pc.entries)
+}
+
+// executeBatch runs bindings of spec on exec: whole when exec implements
+// BatchExecutor, otherwise through the bind-and-run fallback. The fallback
+// parses the spec once through the store, then binds each binding into that
+// parse, serializes it and runs it through Execute seeded
+// opts.ForElement(i). The first element that fails ends the fallback, and
+// its error carries the element's index.
+func (pc *ParseCache) executeBatch(exec Executor, spec CircuitSpec, bindings []Bindings, opts RunOptions) ([]ExecResult, error) {
+	if be, ok := exec.(BatchExecutor); ok {
+		return be.ExecuteBatch(spec, bindings, opts)
+	}
+	base, err := pc.Get(spec)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]ExecResult, len(bindings))
+	for i, b := range bindings {
+		elem, err := SpecFromCircuit(base.Bind(b))
+		if err == nil {
+			out[i], err = exec.Execute(elem, opts.ForElement(i))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("batch element %d: %w", i, err)
+		}
+	}
+	return out, nil
 }

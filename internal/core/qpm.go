@@ -65,7 +65,7 @@ type QPM struct {
 	backend  string
 	exec     Executor
 	rec      *trace.Recorder
-	cache    *ParseCache
+	specs    *ParseCache // the session's store, or the QPM's own outside one
 	queue    chan func(worker string)
 	nextID   atomic.Int64
 	inflight atomic.Int64 // queued + running work items
@@ -108,7 +108,7 @@ func newQPMWithQueueCap(exec Executor, workers int, rec *trace.Recorder, queueCa
 		backend: exec.Name(),
 		exec:    exec,
 		rec:     rec,
-		cache:   NewParseCache(),
+		specs:   new(ParseCache),
 		queue:   make(chan func(worker string), queueCap),
 		jobs:    make(map[string]*job),
 		workers: workers,
@@ -146,10 +146,11 @@ func (q *QPM) Recorder() *trace.Recorder { return q.rec }
 // time series.
 func (q *QPM) BusyNS() int64 { return q.busyNS.Load() }
 
-// ParseCount reports how many QASM parses this QPM's spec cache performed
-// (only the fallback path for executors without native batch support parses
-// at the QPM; batch-native executors parse in their own caches).
-func (q *QPM) ParseCount() int64 { return q.cache.Parses() }
+// ParseCount reports how many QASM parses the QPM's spec store performed.
+// In a Launched session that is the session's one store, so it counts the
+// parses of every QPM, the router and every executor of the session; a QPM
+// built by NewQPM alone counts the parses of its own batch fallback.
+func (q *QPM) ParseCount() int64 { return q.specs.Parses() }
 
 // DefaultRetryPolicy is the QPM's per-execution retry: up to three
 // attempts at transient failures with millisecond-scale full-jitter
@@ -573,41 +574,17 @@ func (q *QPM) runSlot(j *job, g int, what, worker string, call func() (ExecResul
 	j.results[g] = q.result(j, g, res, started, time.Since(started), rs)
 }
 
-// runChunk executes bindings[lo:hi] of a batch on one QRC worker:
-// batch-native executors get the whole chunk in one call (rebinding into
-// their cached parse per element); plain executors fall back to bind →
-// serialize → Execute per element through the QPM's own parse cache.
+// runChunk executes bindings[lo:hi] of a batch on one QRC worker in one
+// executor call: batch-native executors rebind each element into their
+// cached parse, plain ones run the store's bind-and-run fallback.
 func (q *QPM) runChunk(j *job, lo, hi int, worker string) {
-	// Element seeds are globally indexed: the chunk base offset keeps seeds
-	// identical to a serial loop over the full batch.
-	chunkOpts := j.opts.ForElement(lo)
-	elemWhat := func(g int) string { return fmt.Sprintf("exec-batch:%s[%d]", j.spec.Name, g) }
-	be, native := q.exec.(BatchExecutor)
-	if !native {
-		base, err := q.cache.Get(j.spec)
-		if err != nil {
-			for g := lo; g < hi; g++ {
-				j.errs[g] = err.Error()
-			}
-			return
-		}
-		for g := lo; g < hi; g++ {
-			spec, err := SpecFromCircuit(base.Bind(j.bindings[g]))
-			if err != nil {
-				j.errs[g] = err.Error()
-				continue
-			}
-			q.runSlot(j, g, elemWhat(g), worker, func() (ExecResult, error) {
-				return q.exec.Execute(spec, chunkOpts.ForElement(g-lo))
-			})
-		}
-		return
-	}
 	sub := j.bindings[lo:hi]
 	started := time.Now()
 	execFinish := q.rec.Span("executor:"+j.spec.Name, worker)
+	// Element seeds are globally indexed: the chunk base offset keeps seeds
+	// identical to a serial loop over the full batch.
 	results, err := guarded(j.deadline, fmt.Sprintf("exec-batch:%s[%d:%d]", j.spec.Name, lo, hi), func() ([]ExecResult, error) {
-		return be.ExecuteBatch(j.spec, sub, chunkOpts)
+		return q.specs.executeBatch(q.exec, j.spec, sub, j.opts.ForElement(lo))
 	})
 	execFinish()
 	elapsed := time.Since(started)
@@ -628,8 +605,8 @@ func (q *QPM) runChunk(j *job, lo, hi int, worker string) {
 	// so elements that recover produce bit-identical results to a clean run;
 	// elements that keep failing record only their own error.
 	for g := lo; g < hi; g++ {
-		q.runSlot(j, g, elemWhat(g), worker, func() (ExecResult, error) {
-			one, err := be.ExecuteBatch(j.spec, j.bindings[g:g+1], j.opts.ForElement(g))
+		q.runSlot(j, g, fmt.Sprintf("exec-batch:%s[%d]", j.spec.Name, g), worker, func() (ExecResult, error) {
+			one, err := q.specs.executeBatch(q.exec, j.spec, j.bindings[g:g+1], j.opts.ForElement(g))
 			if err == nil && len(one) != 1 {
 				err = fmt.Errorf("qpm[%s]: batch executor returned %d results for 1 binding", q.backend, len(one))
 			}

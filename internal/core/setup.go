@@ -32,7 +32,15 @@ type Env struct {
 	CloudJitter      time.Duration
 	CloudConcurrency int
 	Seed             int64
+
+	specs ParseCache // see Specs
 }
+
+// Specs returns the environment's spec store. Launch hands one Env to every
+// backend factory and gives its store to every QPM, the router and any
+// fault injector it wraps, so a session parses and plans each spec once.
+// An Env built by hand has a store of its own.
+func (e *Env) Specs() *ParseCache { return &e.specs }
 
 // Factory builds one backend executor against the environment.
 type Factory func(env *Env) (Executor, error)
@@ -195,13 +203,17 @@ func Launch(cfg Config) (*Session, error) {
 		}
 		// An armed QFW_FAULTS schedule wraps every executor in the
 		// deterministic injector (unless the factory already did).
-		if sched := faults.FromEnv(); sched != nil {
-			if _, wrapped := exec.(*FaultyExecutor); !wrapped {
-				exec = NewFaultyExecutor(exec, faults.NewInjector(*sched))
-			}
+		f, wrapped := exec.(*FaultyExecutor)
+		if sched := faults.FromEnv(); sched != nil && !wrapped {
+			f = NewFaultyExecutor(exec, faults.NewInjector(*sched))
+			exec = f
+		}
+		if f != nil {
+			f.specs = env.Specs()
 		}
 		byName[name] = exec
 		qpm := NewQPM(exec, workers, rec)
+		qpm.specs = env.Specs()
 		s.execs = append(s.execs, exec)
 		s.qpms = append(s.qpms, qpm)
 		s.server.Register(ServiceName(name), qpm)
@@ -210,8 +222,10 @@ func Launch(cfg Config) (*Session, error) {
 	// executors under the reserved name "auto".
 	if len(byName) > 0 {
 		auto := NewAutoExecutor(byName).WithMemBudget(memBudget)
+		auto.specs = env.Specs()
 		s.auto = auto
 		qpm := NewQPM(auto, workers, rec)
+		qpm.specs = env.Specs()
 		s.qpms = append(s.qpms, qpm)
 		s.server.Register(ServiceName("auto"), qpm)
 	}

@@ -12,8 +12,8 @@
 //   - the batched parametric pipeline (CircuitSpec.Params + Bindings,
 //     Frontend.RunBatch, QPM exec_batch, BatchExecutor): one
 //     symbolic ansatz ships per optimizer iteration instead of N bound
-//     copies, fanned across the QRC workers and parsed once per ansatz via
-//     ParseCache,
+//     copies, fanned across the QRC workers and parsed once per ansatz in
+//     the session's one spec store (ParseCache),
 //   - the deployment bootstrap (Launch) that reproduces the paper's Fig. 1
 //     flow: SLURM heterogeneous job → DVM → QPM services → teardown.
 package core
@@ -27,8 +27,10 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"qfw/internal/circuit"
 )
@@ -77,13 +79,18 @@ func SpecFromParametric(c *circuit.Circuit) (CircuitSpec, error) {
 // IsParametric reports whether the spec carries unbound symbolic parameters.
 func (s CircuitSpec) IsParametric() bool { return len(s.Params) > 0 }
 
-// Hash returns a content digest of the spec, the key of the parsed-circuit
-// caches: one ansatz hashes identically across every evaluation that ships
-// it, so its QASM parse cost is paid once per ansatz rather than once per
-// parameter binding.
+// Hash returns a content digest of the spec: the first 16 bytes of
+// sha256("<NQubits>\x00<QASM>") in hex. The serving layer's result cache
+// and the fault injector key by it; the spec store keys by the content
+// itself and does not hash.
 func (s CircuitSpec) Hash() string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("%d\x00%s", s.NQubits, s.QASM)))
-	return hex.EncodeToString(h[:16])
+	h := sha256.New()
+	var head [24]byte
+	h.Write(append(strconv.AppendInt(head[:0], int64(s.NQubits), 10), 0))
+	// The QASM goes in without a copy: the hasher only reads its input.
+	h.Write(unsafe.Slice(unsafe.StringData(s.QASM), len(s.QASM)))
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0])[:16])
 }
 
 // Circuit parses the spec back into the IR.

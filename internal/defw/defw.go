@@ -12,7 +12,9 @@
 // error text, and a payload that is valid JSON that encoding/json's
 // compaction leaves unchanged. Everything else, every error reply
 // included, goes through encoding/json. A payload read by hand is a slice
-// of its frame, not a copy.
+// of its frame, not a copy. Neither side sends a frame the other's decoder
+// would refuse: a payload at encoding/json's nesting limit is refused, and
+// a reply that cannot be encoded goes back as an error reply.
 package defw
 
 import (
@@ -136,17 +138,20 @@ func (s *Server) ServeConn(conn net.Conn) {
 			resp := s.dispatch(req)
 			bp := framePool.Get().(*[]byte)
 			buf, err := appendResponse(startFrame(bp), resp)
-			if n := len(buf) - frameHeader; err == nil && uint64(n) > uint64(maxFrameBytes) {
-				// Replace an over-cap reply with a clean RPC error so the
-				// caller gets an answer instead of a dead connection.
+			// A reply that cannot be encoded, or that is over the cap, is
+			// replaced by an error reply, which always encodes: the caller
+			// gets an answer instead of a dead connection or no reply.
+			if err != nil {
+				resp = response{ID: resp.ID, Err: "defw: reply not encodable: " + err.Error()}
+				buf, _ = appendResponse(buf[:frameHeader], resp)
+			}
+			if n := len(buf) - frameHeader; uint64(n) > uint64(maxFrameBytes) {
 				resp = response{ID: resp.ID, Err: fmt.Sprintf("defw: response exceeds frame cap (%d bytes)", n)}
-				buf, err = appendResponse(buf[:frameHeader], resp)
+				buf, _ = appendResponse(buf[:frameHeader], resp)
 			}
-			if err == nil {
-				writeMu.Lock()
-				sendFrame(conn, buf)
-				writeMu.Unlock()
-			}
+			writeMu.Lock()
+			sendFrame(conn, buf)
+			writeMu.Unlock()
 			putFrame(bp, buf)
 		}(req)
 	}

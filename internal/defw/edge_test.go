@@ -246,3 +246,70 @@ func TestGoRacesConnectionLoss(t *testing.T) {
 		c.Close()
 	}
 }
+
+// callWithin makes one call and fails the test if no answer comes within
+// a second: Call itself has no deadline.
+func callWithin(t *testing.T, c *Client, service, method string, payload []byte) ([]byte, error) {
+	t.Helper()
+	call := c.Go(service, method, payload)
+	select {
+	case <-call.Done:
+		return call.Result()
+	case <-time.After(time.Second):
+		t.Fatalf("%s.%s: no answer within 1 s", service, method)
+		return nil, nil
+	}
+}
+
+// deepArray is a JSON array nested depth levels deep.
+func deepArray(depth int) []byte {
+	return append(bytes.Repeat([]byte("["), depth), bytes.Repeat([]byte("]"), depth)...)
+}
+
+// startTCPWith serves the handler as service "h" over TCP, beside "echo".
+func startTCPWith(t *testing.T, h HandlerFunc) *Client {
+	t.Helper()
+	s, c := startTCP(t)
+	s.Register("h", h)
+	return c
+}
+
+// TestUnencodableReplyGetsErrorReply: a handler whose reply is not JSON
+// gets its caller an error reply, and the connection goes on serving.
+func TestUnencodableReplyGetsErrorReply(t *testing.T) {
+	c := startTCPWith(t, func(string, []byte) ([]byte, error) { return []byte("{"), nil })
+	if _, err := callWithin(t, c, "h", "run", nil); err == nil || !strings.Contains(err.Error(), "defw: reply not encodable") {
+		t.Fatalf("err = %v, want the reply-not-encodable error", err)
+	}
+	if out, err := callWithin(t, c, "echo", "run", []byte(`"ok"`)); err != nil || string(out) != `"ok"` {
+		t.Fatalf("next call = %q, %v; want the echo", out, err)
+	}
+}
+
+// TestPayloadAtNestingLimitFailsOnlyItsCall: a payload nested exactly
+// maxJSONDepth deep is valid JSON, but its frame is one level deeper than
+// json.Unmarshal reads. The encoder refuses it in both directions, so the
+// refused request or reply costs only its own call, and the connection
+// goes on serving. One level shallower still goes through.
+func TestPayloadAtNestingLimitFailsOnlyItsCall(t *testing.T) {
+	deep := deepArray(maxJSONDepth)
+	c := startTCPWith(t, func(string, []byte) ([]byte, error) { return deep, nil })
+	next := func(what string) {
+		t.Helper()
+		if out, err := callWithin(t, c, "echo", "run", []byte(`"ok"`)); err != nil || string(out) != `"ok"` {
+			t.Fatalf("call after %s = %q, %v; want the echo", what, out, err)
+		}
+	}
+	if _, err := callWithin(t, c, "echo", "run", deep); !errors.Is(err, errTooDeep) {
+		t.Fatalf("request err = %v, want %v", err, errTooDeep)
+	}
+	next("a refused request")
+	if _, err := callWithin(t, c, "h", "run", nil); err == nil || !strings.Contains(err.Error(), "reply not encodable: "+errTooDeep.Error()) {
+		t.Fatalf("reply err = %v, want the reply-not-encodable error", err)
+	}
+	next("a refused reply")
+	shallower := deepArray(maxJSONDepth - 1)
+	if out, err := callWithin(t, c, "echo", "run", shallower); err != nil || !bytes.Equal(out, shallower) {
+		t.Fatalf("a payload %d deep: %v", maxJSONDepth-1, err)
+	}
+}

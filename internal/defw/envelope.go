@@ -2,6 +2,7 @@ package defw
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"strconv"
 )
@@ -14,13 +15,15 @@ import (
 // decodeResponse read that hand-written shape without encoding/json and
 // hand every other frame to json.Unmarshal, so both directions behave
 // exactly as encoding/json does, with one scan of the payload each way
-// and no copy of it on the way in.
+// and no copy of it on the way in. The one departure: the encoders refuse a
+// payload nested exactly as deep as encoding/json allows, since the
+// envelope adds a level and the peer's decoder would refuse the frame.
 
 // appendRequest appends json.Marshal(req) to dst. It takes the request by
 // value, so it is built on the stack unless json.Marshal is called.
 func appendRequest(dst []byte, req request) ([]byte, error) {
 	if !plainString(req.Service) || !plainString(req.Method) || !plainPayload(req.Payload) {
-		return appendMarshal(dst, req)
+		return appendMarshal(dst, req, req.Payload)
 	}
 	dst = append(dst, `{"id":`...)
 	dst = strconv.AppendUint(dst, req.ID, 10)
@@ -36,7 +39,7 @@ func appendRequest(dst []byte, req request) ([]byte, error) {
 // take json.Marshal: they are rare, and their text is caller-made.
 func appendResponse(dst []byte, resp response) ([]byte, error) {
 	if resp.Err != "" || !plainPayload(resp.Payload) {
-		return appendMarshal(dst, resp)
+		return appendMarshal(dst, resp, resp.Payload)
 	}
 	dst = append(dst, `{"id":`...)
 	dst = strconv.AppendUint(dst, resp.ID, 10)
@@ -53,13 +56,24 @@ func appendPayload(dst []byte, payload json.RawMessage) []byte {
 	return append(dst, '}')
 }
 
-func appendMarshal(dst []byte, v any) ([]byte, error) {
+// appendMarshal appends json.Marshal(v), an envelope around payload, to
+// dst. json.Marshal checks payload on its own, so it writes a payload
+// nested exactly maxJSONDepth deep, but inside the envelope that payload is
+// one level deeper than json.Unmarshal reads: the peer would drop the
+// connection and every call on it. Such a payload is refused here instead.
+func appendMarshal(dst []byte, v any, payload json.RawMessage) ([]byte, error) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return dst, err
 	}
+	if valid, _ := scanJSON(payload, 1); len(payload) > 0 && !valid {
+		return dst, errTooDeep
+	}
 	return append(dst, data...), nil
 }
+
+// errTooDeep refuses a payload that fits json.Marshal but not a frame.
+var errTooDeep = fmt.Errorf("defw: payload nests more than %d levels deep, the limit inside a frame", maxJSONDepth-1)
 
 // plainString reports whether encoding/json writes s between quotes
 // unchanged: printable ASCII with nothing it escapes, HTML's <, > and &
@@ -77,12 +91,13 @@ func plainString(s string) bool {
 // envelope unchanged. It compacts a RawMessage with HTML escaping, so it
 // drops whitespace outside strings and rewrites <, >, & and U+2028/U+2029
 // (whose UTF-8 starts with 0xE2); a valid payload with none of these goes
-// through as is. An empty payload is omitted.
+// through as is. An empty payload is omitted. The payload is checked at
+// the depth it has inside the envelope.
 func plainPayload(payload json.RawMessage) bool {
 	if len(payload) == 0 {
 		return true
 	}
-	valid, compact := scanJSON(payload, 0)
+	valid, compact := scanJSON(payload, 1)
 	return valid && compact
 }
 

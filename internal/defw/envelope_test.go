@@ -194,7 +194,8 @@ func checkDecoded(t *testing.T, frame []byte, gotErr, wantErr error, got, want a
 
 // FuzzDecodeEnvelope: for any bytes, decodeRequest and decodeResponse agree
 // with json.Unmarshal, and as a payload the bytes are encoded as
-// json.Marshal encodes them.
+// json.Marshal encodes them, or refused where json.Marshal's frame would be
+// refused by json.Unmarshal.
 func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add([]byte(`{"id":7,"service":"qpm.aer","method":"exec","payload":{"spec":{"qasm":"h q[0];"}}}`))
 	f.Add([]byte(`{"id":7,"payload":[1,2,{"a":null}]}`))
@@ -220,8 +221,64 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		req := request{ID: 9, Service: "s", Method: "m", Payload: frame}
 		got, gotErr := appendRequest(nil, req)
 		want, wantErr := json.Marshal(req)
+		if wantErr == nil && !json.Valid(want) {
+			// json.Marshal wrote a frame json.Unmarshal refuses: a payload
+			// at the nesting limit is one level too deep in an envelope.
+			if gotErr == nil {
+				t.Fatalf("encoded a frame json.Unmarshal refuses: %.40q…", got)
+			}
+			return
+		}
 		checkEncoded(t, "request", req, nil, got, want, gotErr, wantErr)
 	})
+}
+
+// FuzzEnvelopeRoundTrip: whatever appendRequest or appendResponse encodes
+// reads back with equal fields, through decodeRequest or decodeResponse and
+// through json.Unmarshal. Strings come back as encoding/json writes them,
+// each invalid UTF-8 byte as U+FFFD, and the payload as its compaction.
+func FuzzEnvelopeRoundTrip(f *testing.F) {
+	f.Add(uint64(7), "qpm.aer", "exec", []byte(`{"spec":{"qasm":"h q[0];"}}`), "")
+	f.Add(uint64(0), "", "", []byte(nil), "boom")
+	f.Add(uint64(math.MaxUint64), "a<b", "\xff\u2028", []byte(" [1, \"<\u2028>&\"] "), "bad \"x\"\n")
+	f.Add(uint64(3), "s", "m", []byte("null"), "")
+	f.Add(uint64(4), "s", "m", []byte("{"), "")
+	f.Add(uint64(9), "s", "m", deepArray(maxJSONDepth), "")
+	f.Add(uint64(9), "s", "m", deepArray(maxJSONDepth-1), "")
+	f.Fuzz(func(t *testing.T, id uint64, service, method string, payload []byte, errText string) {
+		var want json.RawMessage
+		if len(payload) > 0 {
+			want, _ = json.Marshal(json.RawMessage(payload))
+		}
+		req := request{ID: id, Service: service, Method: method, Payload: payload}
+		if frame, err := appendRequest(nil, req); err == nil {
+			wantReq := request{ID: id, Service: string([]rune(service)), Method: string([]rune(method)), Payload: want}
+			got, err := decodeRequest(frame)
+			checkRoundTrip(t, frame, "decodeRequest", err, got, wantReq)
+			var std request
+			err = json.Unmarshal(frame, &std)
+			checkRoundTrip(t, frame, "json.Unmarshal", err, std, wantReq)
+		}
+		resp := response{ID: id, Payload: payload, Err: errText}
+		if frame, err := appendResponse(nil, resp); err == nil {
+			wantResp := response{ID: id, Payload: want, Err: string([]rune(errText))}
+			got, err := decodeResponse(frame)
+			checkRoundTrip(t, frame, "decodeResponse", err, got, wantResp)
+			var std response
+			err = json.Unmarshal(frame, &std)
+			checkRoundTrip(t, frame, "json.Unmarshal", err, std, wantResp)
+		}
+	})
+}
+
+func checkRoundTrip(t *testing.T, frame []byte, decoder string, err error, got, want any) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("%s refused the encoded frame %.60q: %v", decoder, frame, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s read %.60q as %+v, want %+v", decoder, frame, got, want)
+	}
 }
 
 // TestDecodedPayloadAliasesFrame: a hand-read payload is a slice of its

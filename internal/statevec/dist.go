@@ -486,9 +486,9 @@ func RunDistributedState(comm *mpi.Comm, c *circuit.Circuit, plan *circuit.Fusio
 
 // RunDistributedBatch executes K bindings of one parametric ansatz inside a
 // single persistent world: ranks spawn once, the fusion plan is shared (and
-// typically comes from the spec-hash ParseCache), and shard buffers recycle
-// through the arena between elements. Results are ordered by element;
-// counts live on rank 0's view.
+// typically comes from the session's spec store, core.ParseCache), and
+// shard buffers recycle through the arena between elements. Results are
+// ordered by element; counts live on rank 0's view.
 func RunDistributedBatch(w *mpi.World, req DistBatch) ([]DistResult, error) {
 	if req.Circuit == nil {
 		return nil, fmt.Errorf("statevec: distributed batch needs a circuit")

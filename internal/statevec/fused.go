@@ -82,10 +82,10 @@ func RunFused(c *circuit.Circuit, plan *circuit.FusionPlan, workers int, rng *ra
 }
 
 // RunFusedStaged is the batch-path entry of the staged engine: sched is the
-// tile schedule cached beside the fusion plan (core.ParseCache.GetStaged),
-// so a batch of bindings compiles its stages once. A nil sched — the cache's
-// way of saying the structure is untileable or below the MinQubits threshold —
-// runs the per-op fused path directly.
+// tile schedule kept beside the fusion plan in the session's spec store
+// (core.ParseCache.GetStaged), so a batch of bindings compiles its stages
+// once. A nil sched — the store's way of saying the structure is untileable
+// or below the MinQubits threshold — runs the per-op fused path directly.
 func RunFusedStaged(c *circuit.Circuit, plan *circuit.FusionPlan, sched *circuit.DistSchedule, workers int, rng *rand.Rand) (*State, []int) {
 	if !c.IsBound() {
 		panic("statevec: circuit has unbound parameters")
