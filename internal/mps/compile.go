@@ -31,7 +31,7 @@ import (
 type Options struct {
 	MaxBond int     // bond-dimension cap (0 = DefaultMaxBond)
 	Cutoff  float64 // relative singular-value cutoff (0 = 1e-12)
-	Workers int     // kernel parallelism within two-site updates
+	Workers int     // kernel parallelism within two-site updates and large samples
 }
 
 type stepKind uint8

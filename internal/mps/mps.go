@@ -25,7 +25,10 @@ import (
 	"math/bits"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"qfw/internal/circuit"
 	"qfw/internal/linalg"
@@ -99,9 +102,10 @@ type MPS struct {
 	Cutoff   float64
 	TruncErr float64
 
-	// Workers bounds the kernel parallelism of two-site updates (0/1 means
-	// serial). Batched executions run elements serially and parallelize
-	// across elements instead.
+	// Workers bounds the kernel parallelism of two-site updates and of
+	// Sample, whose prefix walk fans out only above parallelSampleWork
+	// (0/1 means serial). Batched executions run elements serially and
+	// parallelize across elements instead.
 	Workers int
 
 	// QubitOfSite maps chain positions to logical qubits when the compiled
@@ -557,6 +561,22 @@ func (m *MPS) Run(c *circuit.Circuit) error {
 // shots are sampled in chunks of consecutive shots whose draws fit in it.
 const sampleChunkBytes = 1 << 20
 
+// parallelSampleWork is the estimated walk of a chunk, cs·Σ chiL·chiR
+// multiply-adds for cs shots (what the walk costs when no two shots share a
+// prefix), from which Sample fans the chunk's subtrees across MPS.Workers.
+// Below it two workers lose or break even: TFIM-12 and TFIM-16 at depth 8,
+// both at 256 shots (1.2e5 and 3.1e5), sample slower on two, and TFIM-16
+// and TFIM-20 at depth 8 and 1024 shots (1.3e6 and 1.8e6) no faster.
+// TFIM-64 (3.9e6) and ring-QAOA-32 at p = 2 (6.6e6), both at MaxBond 32
+// and 1024 shots, sample about 1.5× faster.
+const parallelSampleWork = 1 << 21
+
+// frontierPerWorker is how many subtrees per worker the parallel walk
+// expands before it fans out. Workers claim subtrees one at a time, and
+// subtrees differ widely in size: with 2 per worker, TFIM-64 left a worker
+// idle for much of its walk.
+const frontierPerWorker = 32
+
 // Sample draws shots bitstrings from the MPS distribution. Keys follow the
 // Qiskit convention (qubit 0 rightmost); a routed chain permutation is
 // unwound in the keys, never in the tensors. shots <= 0 draws nothing and
@@ -573,33 +593,44 @@ const sampleChunkBytes = 1 << 20
 // buffered draws (a zero-norm state, whose root has zero weight, never
 // draws ahead at all, so only a zero-weight node below a nonzero root can
 // leave rng up to one chunk further on).
+//
+// With Workers > 1 (up to GOMAXPROCS), a chunk whose walk is estimated
+// above parallelSampleWork is walked on all workers: the tree is expanded
+// level by level until frontierPerWorker subtrees per worker are open, and
+// the workers then claim subtrees one at a time, each with its own vectors,
+// key and histogram. A subtree reads only its own shots' draws, so the result
+// is the same histogram and rng state; a zero-weight node met by any worker
+// sends the chunk to the same shot-by-shot replay.
 func (m *MPS) Sample(shots int, rng *rand.Rand) map[string]int {
 	if shots <= 0 {
 		return nil
 	}
 	m.moveCenterTo(0)
 	s := newPrefixSampler(m, min(shots, max(1, sampleChunkBytes/8/m.N)), rng)
+	w := s.walkers[0]
 	root := []complex128{1}
-	p0, p1 := branches(root, m.sites[0], s.branch[0][0], s.branch[0][1])
+	p0, p1 := branches(root, m.sites[0], w.branch[0][0], w.branch[0][1])
 	s.perShot = p0+p1 <= 0
 	var counts map[string]int
 	for done := 0; done < shots; {
 		if s.perShot {
-			s.walk(0, root, s.idx[:1])
+			w.walk(0, root, s.idx[:1])
 			done++
 			continue
 		}
-		s.cs = min(len(s.idx), shots-done)
-		for j := 0; j < s.cs; j++ {
-			for i := 0; i < m.N; i++ {
-				s.u[i*s.cs+j] = rng.Float64()
+		s.draw(min(len(s.idx), shots-done))
+		var ok bool
+		if len(s.walkers) > 1 && s.cs*s.work >= parallelSampleWork {
+			ok = s.walkParallel(root)
+		} else {
+			ok = w.walk(0, root, s.idx[:s.cs])
+		}
+		if !ok {
+			for _, wk := range s.walkers {
+				if wk != nil {
+					clear(wk.counts)
+				}
 			}
-		}
-		for j := range s.idx[:s.cs] {
-			s.idx[j] = int32(j)
-		}
-		if !s.walk(0, root, s.idx[:s.cs]) {
-			clear(s.counts)
 			s.perShot = true
 			continue
 		}
@@ -611,14 +642,16 @@ func (m *MPS) Sample(shots int, rng *rand.Rand) map[string]int {
 
 // prefixSampler is the state of one Sample call.
 type prefixSampler struct {
-	m      *MPS
-	rng    *rand.Rand
-	branch [][2][]complex128 // per site: its two conditioned bond vectors
-	u      []float64         // chunk uniforms: u[i*cs+j] is site i of shot j
-	cs     int               // shots in the current chunk
-	idx    []int32           // chunk shot indices, partitioned per node
-	key    []byte
-	counts map[string]int // the histogram not yet committed
+	m    *MPS
+	rng  *rand.Rand
+	u    []float64 // chunk uniforms: u[i*cs+j] is site i of shot j
+	cs   int       // shots in the current chunk
+	idx  []int32   // chunk shot indices, partitioned per node
+	work int       // Σ chiL·chiR over the sites: one shot's walk
+
+	// walkers[0] walks serially; the parallel walk makes the others on
+	// first use, one per worker up to GOMAXPROCS.
+	walkers []*walker
 
 	// perShot walks one shot at a time and draws lazily: first the
 	// buffered uniforms of the chunk that met a zero-weight node (pos
@@ -627,12 +660,34 @@ type prefixSampler struct {
 	pos     int
 }
 
+// walker is what one goroutine needs to walk subtrees: its own branch
+// vectors, key and histogram not yet committed.
+type walker struct {
+	s      *prefixSampler
+	branch [][2][]complex128 // per site: its two conditioned bond vectors
+	key    []byte
+	counts map[string]int
+}
+
 func newPrefixSampler(m *MPS, chunk int, rng *rand.Rand) *prefixSampler {
 	s := &prefixSampler{
 		m: m, rng: rng,
+		u:       make([]float64, chunk*m.N),
+		idx:     make([]int32, chunk),
+		walkers: make([]*walker, max(1, min(m.Workers, runtime.GOMAXPROCS(0)))),
+	}
+	for _, t := range m.sites {
+		s.work += t.chiL * t.chiR
+	}
+	s.walkers[0] = newWalker(s)
+	return s
+}
+
+func newWalker(s *prefixSampler) *walker {
+	m := s.m
+	w := &walker{
+		s:      s,
 		branch: make([][2][]complex128, m.N),
-		u:      make([]float64, chunk*m.N),
-		idx:    make([]int32, chunk),
 		key:    make([]byte, m.N),
 		counts: make(map[string]int, 16),
 	}
@@ -642,42 +697,59 @@ func newPrefixSampler(m *MPS, chunk int, rng *rand.Rand) *prefixSampler {
 	}
 	vec := make([]complex128, width)
 	for i, t := range m.sites {
-		s.branch[i] = [2][]complex128{vec[:t.chiR:t.chiR], vec[t.chiR : 2*t.chiR : 2*t.chiR]}
+		w.branch[i] = [2][]complex128{vec[:t.chiR:t.chiR], vec[t.chiR : 2*t.chiR : 2*t.chiR]}
 		vec = vec[2*t.chiR:]
 	}
-	return s
+	return w
 }
 
-// commit adds the uncommitted histogram to counts and returns it.
+// draw starts a chunk of cs shots: it draws their uniforms, shot-major, and
+// puts every shot at the root.
+func (s *prefixSampler) draw(cs int) {
+	s.cs = cs
+	for j := 0; j < cs; j++ {
+		for i := 0; i < s.m.N; i++ {
+			s.u[i*cs+j] = s.rng.Float64()
+		}
+	}
+	for j := range s.idx[:cs] {
+		s.idx[j] = int32(j)
+	}
+}
+
+// commit adds the walkers' uncommitted histograms to counts and returns it.
 func (s *prefixSampler) commit(counts map[string]int) map[string]int {
-	if counts == nil {
-		counts, s.counts = s.counts, make(map[string]int, 16)
-		return counts
+	for _, w := range s.walkers {
+		switch {
+		case w == nil:
+		case counts == nil:
+			counts, w.counts = w.counts, make(map[string]int, 16)
+		default:
+			for k, v := range w.counts {
+				counts[k] += v
+			}
+			clear(w.counts)
+		}
 	}
-	for k, v := range s.counts {
-		counts[k] += v
-	}
-	clear(s.counts)
 	return counts
 }
 
-// walk visits the prefix-tree node at site i, whose conditioned bond vector
-// is left, with the shots in idx. It returns false when a chunk meets a
-// node of zero weight, where the chunk's draws stop matching the stream.
-func (s *prefixSampler) walk(i int, left []complex128, idx []int32) bool {
+// step takes the prefix-tree node at site i, whose conditioned bond vector
+// is left, one site down: it writes the node's two children, normalized,
+// into v0 and v1, partitions idx so that idx[:split] take branch 0 and
+// idx[split:] branch 1, and returns the key byte the site sets. It returns
+// false when a chunk meets a node of zero weight, where the chunk's draws
+// stop matching the stream. Within a chunk it reads only shared state, so
+// workers may step disjoint nodes at once.
+func (s *prefixSampler) step(i int, left, v0, v1 []complex128, idx []int32) (split, pos int, ok bool) {
 	m := s.m
-	if i == m.N {
-		s.counts[string(s.key)] += len(idx)
-		return true
-	}
-	v0, v1 := s.branch[i][0], s.branch[i][1]
 	p0, p1 := branches(left, m.sites[i], v0, v1)
 	total := p0 + p1
-	split := len(idx) // idx[:split] take branch 0, idx[split:] branch 1
+	split = len(idx)
 	switch {
 	case total <= 0:
 		if !s.perShot {
-			return false
+			return 0, 0, false
 		}
 		clear(v0)
 		v0[0], p0 = 1, 1
@@ -696,22 +768,118 @@ func (s *prefixSampler) walk(i int, left []complex128, idx []int32) bool {
 			}
 		}
 	}
-	pos := m.N - 1 - m.qubitForSite(i)
+	// p0 is norm2(v0): normalizing by it rescales exactly as a fresh norm
+	// would.
 	if split > 0 {
-		// p0 is norm2(v0): normalizing by it rescales exactly as a fresh
-		// norm would.
 		normalizeBy(v0, p0)
-		s.key[pos] = '0'
-		if !s.walk(i+1, v0, idx[:split]) {
+	}
+	if split < len(idx) {
+		normalizeBy(v1, p1)
+	}
+	return split, m.N - 1 - m.qubitForSite(i), true
+}
+
+// walk visits the prefix-tree node at site i, whose conditioned bond vector
+// is left, with the shots in idx. It returns false when a chunk meets a
+// node of zero weight.
+func (w *walker) walk(i int, left []complex128, idx []int32) bool {
+	if i == w.s.m.N {
+		w.counts[string(w.key)] += len(idx)
+		return true
+	}
+	v0, v1 := w.branch[i][0], w.branch[i][1]
+	split, pos, ok := w.s.step(i, left, v0, v1, idx)
+	if !ok {
+		return false
+	}
+	if split > 0 {
+		w.key[pos] = '0'
+		if !w.walk(i+1, v0, idx[:split]) {
 			return false
 		}
 	}
 	if split < len(idx) {
-		normalizeBy(v1, p1)
-		s.key[pos] = '1'
-		return s.walk(i+1, v1, idx[split:])
+		w.key[pos] = '1'
+		return w.walk(i+1, v1, idx[split:])
 	}
 	return true
+}
+
+// subtree is an open node of the parallel walk: its conditioned bond
+// vector, its shots and the key bytes of its prefix.
+type subtree struct {
+	left []complex128
+	idx  []int32
+	key  []byte
+}
+
+// walkParallel walks the current chunk from root as walk does, on all
+// workers, which claim the subtrees expand opens one at a time. It returns
+// false when any node of the chunk has zero weight.
+func (s *prefixSampler) walkParallel(root []complex128) bool {
+	open, i, ok := s.expand(root)
+	if !ok {
+		return false
+	}
+	var claimed atomic.Int64
+	var failed atomic.Bool
+	// ParallelFor hands each index to one goroutine, which walks with its
+	// own walker; a capped pool hands one goroutine a range, and it uses the
+	// walker of its first index.
+	statevec.ParallelFor(len(s.walkers), len(s.walkers), 2, func(start, _ int) {
+		w := s.walkers[start]
+		if w == nil {
+			w = newWalker(s)
+			s.walkers[start] = w
+		}
+		for !failed.Load() {
+			k := int(claimed.Add(1)) - 1
+			if k >= len(open) {
+				return
+			}
+			copy(w.key, open[k].key)
+			if !w.walk(i, open[k].left, open[k].idx) {
+				failed.Store(true)
+			}
+		}
+	})
+	return !failed.Load()
+}
+
+// expand opens the current chunk's tree from root level by level, until
+// frontierPerWorker subtrees per walker are open or the leaves are reached,
+// and returns the open subtrees and the site they start at. It returns
+// false on meeting a node of zero weight.
+func (s *prefixSampler) expand(root []complex128) (open []subtree, i int, ok bool) {
+	m := s.m
+	open = []subtree{{root, s.idx[:s.cs], make([]byte, m.N)}}
+	for ; i < m.N && len(open) < frontierPerWorker*len(s.walkers); i++ {
+		chi := m.sites[i].chiR
+		vecs := make([]complex128, 2*chi*len(open))
+		next := make([]subtree, 0, 2*len(open))
+		for _, n := range open {
+			v0, v1 := vecs[:chi:chi], vecs[chi:2*chi:2*chi]
+			vecs = vecs[2*chi:]
+			split, pos, ok := s.step(i, n.left, v0, v1, n.idx)
+			if !ok {
+				return nil, i, false
+			}
+			if split > 0 {
+				key := n.key
+				if split < len(n.idx) {
+					key = slices.Clone(key)
+				}
+				key[pos] = '0'
+				next = append(next, subtree{v0, n.idx[:split], key})
+			}
+			if split < len(n.idx) {
+				n.key[pos] = '1'
+				next = append(next, subtree{v1, n.idx[split:], n.key})
+			}
+		}
+		open = next
+	}
+	return open, i, true
 }
 
 // next returns the next uniform of the stream in per-shot mode.

@@ -100,21 +100,30 @@ func normalize(v []complex128) {
 // chunkShots is how many shots Sample draws ahead for an n-qubit state.
 func chunkShots(n int) int { return max(1, sampleChunkBytes/8/n) }
 
-// checkAgainstOracle samples m with both samplers from the same seed and
-// fails unless the histograms are equal and, when sameRNG, both leave their
-// rng at the same point of the stream.
-func checkAgainstOracle(t testing.TB, name string, m *MPS, shots int, seed int64, sameRNG bool) {
+// sampleWorkers are the worker counts Sample must agree with the oracle at:
+// serial, one per vCPU of a small box, and more workers than it has cores.
+var sampleWorkers = []int{1, 2, 8}
+
+// checkAgainstOracle samples m with the per-shot oracle and with Sample at
+// each of workers, all from the same seed, and fails unless the histograms
+// are equal and, when sameRNG, every sampler leaves its rng at the same
+// point of the stream.
+func checkAgainstOracle(t testing.TB, name string, m *MPS, shots int, seed int64, sameRNG bool, workers ...int) {
 	t.Helper()
-	rw, rg := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	rw := rand.New(rand.NewSource(seed))
 	want := sampleOracle(m, shots, rw)
-	got := m.Sample(shots, rg)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s, %d shots: prefix walk sampled %d keys, per-shot oracle %d, histograms differ",
-			name, shots, len(got), len(want))
-	}
-	if sameRNG {
-		if g, w := rg.Int63(), rw.Int63(); g != w {
-			t.Fatalf("%s, %d shots: rng left at a different point (next Int63 %d, oracle %d)", name, shots, g, w)
+	next := rw.Int63()
+	for _, w := range workers {
+		m.Workers = w
+		rg := rand.New(rand.NewSource(seed))
+		got := m.Sample(shots, rg)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s, %d shots, %d workers: prefix walk sampled %d keys, per-shot oracle %d, histograms differ",
+				name, shots, w, len(got), len(want))
+		}
+		if g := rg.Int63(); sameRNG && g != next {
+			t.Fatalf("%s, %d shots, %d workers: rng left at a different point (next Int63 %d, oracle %d)",
+				name, shots, w, g, next)
 		}
 	}
 }
@@ -133,9 +142,11 @@ func execute(t testing.TB, c *circuit.Circuit, opt Options) *MPS {
 }
 
 // TestSampleMatchesPerShotOracle pins bit identity: the prefix walk returns
-// the per-shot sampler's histogram, and leaves rng where it does, for the
-// mps_ising circuits, routed random circuits of every small width, and shot
-// counts on both sides of one and several draw-ahead chunks.
+// the per-shot sampler's histogram, and leaves rng where it does, at every
+// worker count, for the mps_ising circuits, routed random circuits of every
+// small width, and shot counts on both sides of one and several draw-ahead
+// chunks. The mps_ising circuits at 1024 and 3 chunks of shots are above
+// parallelSampleWork, so with more than one worker they walk in parallel.
 func TestSampleMatchesPerShotOracle(t *testing.T) {
 	type tc struct {
 		name string
@@ -154,10 +165,38 @@ func TestSampleMatchesPerShotOracle(t *testing.T) {
 	if !routed {
 		t.Fatal("no random circuit left a routed chain permutation")
 	}
+	for _, c := range cases[:2] {
+		if !parallelAt(c.m, 1024) {
+			t.Fatalf("%s: a chunk of 1024 shots is below parallelSampleWork", c.name)
+		}
+	}
+	// copies-8 has 32 outcomes, fewer than the subtrees the parallel walk
+	// opens, so its expansion reaches the leaves. The per-gate engine
+	// keeps each copy five sites from its source, where the compiled
+	// engine would route the pairs together and shrink the bonds.
+	fanout := circuit.New(8)
+	for q := 0; q < 5; q++ {
+		fanout.H(q)
+	}
+	for q := 0; q < 3; q++ {
+		fanout.CX(q, q+5)
+	}
+	copies := New(8, 0, 0)
+	if err := copies.Run(fanout); err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases,
+		tc{"fuzz-seed-8", execute(t, fuzzCircuit(8, fuzzSeedAboveFloor[1:]), Options{MaxBond: 8})},
+		tc{"copies-8", copies})
+	for _, c := range cases[len(cases)-2:] {
+		if !parallelAt(c.m, chunkShots(8)) {
+			t.Fatalf("%s: a full chunk is below parallelSampleWork", c.name)
+		}
+	}
 	for i, c := range cases {
 		chunk := chunkShots(c.m.N)
 		for _, shots := range []int{1, 7, 1024, chunk + 1, 3 * chunk} {
-			checkAgainstOracle(t, c.name, c.m, shots, int64(100*i+shots), true)
+			checkAgainstOracle(t, c.name, c.m, shots, int64(100*i+shots), true, sampleWorkers...)
 		}
 		c.m.Release()
 	}
@@ -174,7 +213,7 @@ func TestSampleZeroWeightFallback(t *testing.T) {
 		for _, shots := range []int{1, 7, 1024, chunkShots(n) + 1} {
 			m := execute(t, randCircuit(rand.New(rand.NewSource(int64(n))), n, 10*n), Options{})
 			m.Apply1Q(zero, m.center) // the gauge sweep carries it to the root
-			checkAgainstOracle(t, fmt.Sprintf("zero-norm-%d", n), m, shots, int64(shots), true)
+			checkAgainstOracle(t, fmt.Sprintf("zero-norm-%d", n), m, shots, int64(shots), true, sampleWorkers...)
 			m.Release()
 			if n == 1 {
 				continue
@@ -182,7 +221,7 @@ func TestSampleZeroWeightFallback(t *testing.T) {
 			m = execute(t, randCircuit(rand.New(rand.NewSource(int64(n))), n, 10*n), Options{})
 			m.moveCenterTo(0)
 			m.Apply1Q(zero, n-1)
-			checkAgainstOracle(t, fmt.Sprintf("zero-tail-%d", n), m, shots, int64(shots), false)
+			checkAgainstOracle(t, fmt.Sprintf("zero-tail-%d", n), m, shots, int64(shots), false, sampleWorkers...)
 			m.Release()
 		}
 	}
@@ -199,8 +238,48 @@ func TestSampleZeroWeightBranch(t *testing.T) {
 		h := complex(1/math.Sqrt2, 0)
 		m.sites[0] = &site{chiL: 1, chiR: 2, data: []complex128{h, 0, 0, h}}
 		m.sites[1] = &site{chiL: 2, chiR: 1, data: []complex128{1, 0, 0, 0}} // row l=1 zeroed
-		checkAgainstOracle(t, "zero-branch", m, shots, int64(shots), false)
+		checkAgainstOracle(t, "zero-branch", m, shots, int64(shots), false, sampleWorkers...)
 	}
+}
+
+// TestSampleZeroWeightBelowFrontier puts TestSampleZeroWeightBranch's two
+// hand-gauged sites at the end of a TFIM chain, whose chunks walk in
+// parallel: the serial expansion opens its subtrees above them, so workers
+// meet the zero-weight node at the last site, after other subtrees have
+// reached leaves. The chunk's counts on every walker are dropped and it is
+// replayed shot by shot.
+func TestSampleZeroWeightBelowFrontier(t *testing.T) {
+	c := circuit.New(64)
+	for _, g := range workloads.TFIM(62, 4, 0.5, 1.0).StripMeasurements().Gates {
+		c.Append(g)
+	}
+	m := execute(t, c, Options{MaxBond: 32})
+	defer m.Release()
+	m.moveCenterTo(0)
+	h := complex(1/math.Sqrt2, 0)
+	m.sites[62] = &site{chiL: 1, chiR: 2, data: []complex128{h, 0, 0, h}}
+	m.sites[63] = &site{chiL: 2, chiR: 1, data: []complex128{1, 0, 0, 0}} // row l=1 zeroed
+	for _, shots := range []int{1024, 3 * chunkShots(m.N)} {
+		cs := min(shots, chunkShots(m.N))
+		if !parallelAt(m, cs) {
+			t.Fatalf("a chunk of %d shots is below parallelSampleWork", cs)
+		}
+		for _, w := range []int{2, 8} {
+			m.Workers = w
+			s := newPrefixSampler(m, cs, rand.New(rand.NewSource(int64(shots))))
+			s.draw(cs)
+			if _, depth, ok := s.expand([]complex128{1}); !ok || depth >= 63 {
+				t.Fatalf("%d workers: expansion stopped at site %d (ok %v), want above the zero-weight site 63", w, depth, ok)
+			}
+			checkAgainstOracle(t, "zero-branch-tfim-64", m, shots, int64(shots), false, w)
+		}
+	}
+}
+
+// parallelAt reports whether Sample walks a chunk of cs shots of m on all
+// workers.
+func parallelAt(m *MPS, cs int) bool {
+	return cs*newPrefixSampler(m, 1, nil).work >= parallelSampleWork
 }
 
 // TestSampleMemoryBounded pins the draw-ahead cap: a million shots of a
@@ -221,19 +300,21 @@ func TestSampleMemoryBounded(t *testing.T) {
 }
 
 // FuzzMPSSample builds a small circuit from the fuzz bytes, optionally
-// zeroes one site, and checks the prefix walk against the per-shot oracle
-// at up to three draw-ahead chunks of shots.
+// zeroes one site, and checks the prefix walk at 1, 2 or 8 workers against
+// the per-shot oracle at up to three draw-ahead chunks of shots. Only 7 and
+// 8 qubits can reach parallelSampleWork in one chunk; the fourth seed does.
 func FuzzMPSSample(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 9, 0, 1, 4, 2, 0}, int64(1), uint32(1024))
-	f.Add([]byte{6, 17, 5, 0, 3, 3, 1, 11, 0, 5, 7, 2, 1}, int64(7), uint32(300000))
+	f.Add([]byte{8, 17, 5, 0, 3, 3, 1, 11, 0, 5, 7, 2, 1}, int64(7), uint32(300000))
 	f.Add([]byte{2, 255, 1, 0, 1}, int64(3), uint32(5))
+	f.Add(fuzzSeedAboveFloor, int64(11), uint32(40000))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64, shotsIn uint32) {
 		if len(data) == 0 {
 			return
 		}
-		n := 1 + int(data[0])%6
+		n := 1 + int(data[0])%8
 		c := fuzzCircuit(n, data[1:])
-		m := execute(t, c, Options{MaxBond: 1 + int(data[0]/6)%8})
+		m := execute(t, c, Options{MaxBond: 1 + int(data[0]/8)%8})
 		defer m.Release()
 		shots := 1 + int(shotsIn)%(3*chunkShots(n))
 		sameRNG := true
@@ -242,9 +323,24 @@ func FuzzMPSSample(f *testing.F) {
 			m.Apply1Q([2][2]complex128{}, int(data[len(data)-1])%n)
 			sameRNG = false
 		}
-		checkAgainstOracle(t, "fuzz", m, shots, seed, sameRNG)
+		checkAgainstOracle(t, "fuzz", m, shots, seed, sameRNG, sampleWorkers[int(data[0]/64)%3])
 	})
 }
+
+// fuzzSeedAboveFloor is 8 qubits at MaxBond 8 and 2 workers, entangled by
+// layers of RY and CX, so that a full chunk walks in parallel.
+var fuzzSeedAboveFloor = func() []byte {
+	data := []byte{127}
+	for layer := 0; layer < 6; layer++ {
+		for q := 0; q < 8; q++ {
+			data = append(data, 3, byte(q), byte(37*layer+19*q+11)) // RY
+		}
+		for q := layer % 2; q < 7; q += 2 {
+			data = append(data, 6, byte(q), 0) // CX(q, q+1)
+		}
+	}
+	return data
+}()
 
 // fuzzCircuit reads gates three bytes at a time: kind, operands, angle.
 func fuzzCircuit(n int, data []byte) *circuit.Circuit {
@@ -272,8 +368,8 @@ func fuzzCircuit(n int, data []byte) *circuit.Circuit {
 	return c
 }
 
-// BenchmarkSample times Sample(1024) on the mps_ising circuits against the
-// per-shot oracle it replaced.
+// BenchmarkSample times Sample(1024) on the mps_ising circuits, on one
+// worker and on two, against the per-shot oracle it replaced.
 func BenchmarkSample(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -284,10 +380,12 @@ func BenchmarkSample(b *testing.B) {
 	} {
 		m := execute(b, c.circ, Options{MaxBond: 32})
 		for _, s := range []struct {
-			name   string
-			sample func(*MPS, int, *rand.Rand) map[string]int
-		}{{"prefix", (*MPS).Sample}, {"per-shot", sampleOracle}} {
+			name    string
+			workers int
+			sample  func(*MPS, int, *rand.Rand) map[string]int
+		}{{"prefix", 1, (*MPS).Sample}, {"prefix-2workers", 2, (*MPS).Sample}, {"per-shot", 1, sampleOracle}} {
 			b.Run(c.name+"/"+s.name, func(b *testing.B) {
+				m.Workers = s.workers
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					s.sample(m, 1024, rand.New(rand.NewSource(int64(i))))
